@@ -49,22 +49,40 @@ draw *order* is round-batched rather than event-interleaved, so loss
 runs are reproducible against this engine, not against the event
 simulator.
 
-Dense-int oracles (a label-free :class:`~repro.graphs.csr.CSRGraph`,
+**One engine.**  Visited state lives in one marks store
+(:func:`~repro.graphs.faultview.visit_marks`): a flat ``bytearray``
+for dense-int oracles (a label-free :class:`~repro.graphs.csr.CSRGraph`,
 the :class:`~repro.graphs.implicit.ImplicitJDOracle`, a
-:class:`~repro.graphs.faultview.FaultView` over either) take a flat
-``bytearray``-seen fast path: ~1 byte per node of working state beyond
-the frontier lists.
+:class:`~repro.graphs.faultview.FaultView` over either — ~1 byte per
+node beyond the frontier lists), a ``dict`` over every node for any
+other labels.  Replaying the schedule writes crashes into the same store:
+0 unseen, 1 covered, 2 down and never covered; a recovery resets 2 to
+0.  Only *careful* senders — endpoints of scheduled link events, or
+every node when ``loss_rate > 0`` — go message by message, with
+sender suppression, send- and delivery-time link checks and the loss
+draws.  Every other node is billed ``deg(v) − 1`` in bulk: none of its
+links ever fails, so its copies reach exactly the unseen, live
+neighbours.
+
+``reachable`` is the BFS of the final survivor view, except for a
+*static* schedule — every event at t ≤ 0, no recoveries or restores,
+no loss — where the flood itself walked that view and
+``reachable == covered``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Hashable, List, Optional
+from dataclasses import dataclass
+from typing import Any, Hashable, List, Optional, Set
 
 from repro.errors import NodeNotFoundError, SimulationError
-from repro.graphs.faultview import FaultView, component_size, id_bound
-from repro.graphs.graph import edge_key
+from repro.flooding.failures import (
+    FailureSchedule,
+    _final_down_links,
+    _final_down_nodes,
+)
+from repro.graphs.faultview import FaultView, component_size, visit_marks
 from repro.graphs.oracle import NeighborOracle, oracle_has_node
 
 NodeId = Hashable
@@ -77,9 +95,8 @@ class RoundFloodResult:
     ``messages``, ``covered`` and ``completion_time`` equal the
     event-driven flood's message count, alive coverage and completion
     time under unit latency with the same failure schedule.  Without
-    failures ``covered == reachable == alive == n`` (flooding fills
-    its component); ``alive`` and ``reachable`` default accordingly so
-    pre-failure constructors are unchanged.
+    failures ``covered == reachable`` and ``alive == n`` (flooding
+    fills its component).
     """
 
     source: NodeId
@@ -87,20 +104,14 @@ class RoundFloodResult:
     covered: int
     messages: int
     rounds: int
-    round_sizes: List[int] = field(default_factory=list)
-    alive: Optional[int] = None
-    reachable: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.alive is None:
-            object.__setattr__(self, "alive", self.n)
-        if self.reachable is None:
-            object.__setattr__(self, "reachable", self.covered)
+    round_sizes: List[int]
+    alive: int
+    reachable: int
 
     @property
     def fully_covered(self) -> bool:
         """True when every reachable survivor got the payload."""
-        return self.covered >= (self.reachable or 0)
+        return self.covered >= self.reachable
 
     @property
     def delivery_ratio(self) -> float:
@@ -128,6 +139,10 @@ def round_flood(
 
     Parameters
     ----------
+    oracle:
+        Any backend whose ``neighbors(v)`` is a sized collection (list,
+        set, array slice — every shipped backend's is); its length is
+        the bulk message bill.
     schedule:
         Optional :class:`~repro.flooding.failures.FailureSchedule`
         replayed at round granularity (event times are rounds).
@@ -146,106 +161,98 @@ def round_flood(
         raise NodeNotFoundError(source)
     if not 0.0 <= loss_rate <= 1.0:
         raise SimulationError(f"loss_rate must be in [0, 1], got {loss_rate}")
-    faulty = loss_rate > 0.0 or (schedule is not None and _has_events(schedule))
-    if not faulty:
-        bound = id_bound(oracle)
-        if bound is not None:
-            return _round_flood_dense(oracle, int(source), bound)
-        return _round_flood_generic(oracle, source)
     if schedule is None:
-        from repro.flooding.failures import FailureSchedule
-
         schedule = FailureSchedule()
-    return _round_flood_faulty(oracle, source, schedule, loss_rate, loss_seed)
+    events = _timeline(schedule)
+    if any(c.node == source and c.time <= 0 for c in schedule.crashes):
+        raise SimulationError("the flood source is crashed at start")
+    lossy = loss_rate > 0.0
+    static = not lossy and all(t <= 0 and phase == 0 for t, phase, *_ in events)
+    careful = {
+        x for _, _, kind, a, b in events if kind.startswith("link") for x in (a, b)
+    }
+    final_down = _final_down_nodes(schedule)
+    # covered nodes that crash later for good: they relay but do not count
+    doomed = final_down & {c.node for c in schedule.crashes if c.time > 0}
 
-
-def _has_events(schedule) -> bool:
-    return bool(
-        schedule.crashes
-        or schedule.link_failures
-        or schedule.recoveries
-        or schedule.link_recoveries
-    )
-
-
-def _round_flood_dense(
-    oracle: NeighborOracle, source: int, bound: int
-) -> RoundFloodResult:
-    seen = bytearray(bound)
+    seen = visit_marks(oracle)
+    dead: Set[tuple] = set()  # links down at delivery time, both directions
+    index = _replay(oracle, events, 0, 0, seen, dead)
     seen[source] = 1
+    senders: dict = {}  # careful senders record whom they covered
     neighbors = oracle.neighbors
+    # the source has no sender to spare: refund the "− 1" its bill takes
+    messages = 1
+    round_sizes = [0 if source in doomed else 1]
     frontier = [source]
-    covered = 1
-    messages = oracle.degree(source)
-    rounds = 0
-    round_sizes = [1]
+    now = 0
     while True:
-        next_frontier = []
+        dead_at_send = frozenset(dead)
+        index = _replay(oracle, events, index, now + 1, seen, dead)
+        rng = random.Random(_loss_round_seed(loss_seed, now)) if lossy else None
+        next_frontier: List[Any] = []
         append = next_frontier.append
         for node in frontier:
-            for neighbor in neighbors(node):
-                if not seen[neighbor]:
-                    seen[neighbor] = 1
-                    append(neighbor)
+            nbrs = neighbors(node)
+            if not (lossy or node in careful):
+                # none of its links fails: all but the sender's copy land
+                messages += len(nbrs) - 1
+                for target in nbrs:
+                    if not seen[target]:
+                        seen[target] = 1
+                        append(target)
+                continue
+            sender = senders.pop(node, None)
+            if sender is None:
+                # the source, or a careful node covered by a clean sender
+                # (no loss, link never fails): its copy is counted below
+                messages -= 1
+            for target in nbrs:
+                if target == sender:
+                    continue  # first receipt suppresses the return copy
+                if (node, target) in dead_at_send:
+                    continue  # link already down at send time: never sent
+                messages += 1
+                if rng is not None and rng.random() < loss_rate:
+                    continue  # counted as sent, lost in flight
+                if not seen[target] and (node, target) not in dead:
+                    seen[target] = 1
+                    senders[target] = node
+                    append(target)
         if not next_frontier:
             break
-        rounds += 1
-        round_sizes.append(len(next_frontier))
-        covered += len(next_frontier)
-        # each newly covered node forwards to all neighbours but one
-        messages += sum(
-            oracle.degree(node) - 1 for node in next_frontier
-        )
+        now += 1
+        size = len(next_frontier)
+        if doomed:
+            size -= sum(1 for target in next_frontier if target in doomed)
+        round_sizes.append(size)
         frontier = next_frontier
+    # doomed nodes keep relaying until the end; completion counts only
+    # deliveries that survive, so trim the trailing doomed-only rounds
+    while len(round_sizes) > 1 and round_sizes[-1] == 0:
+        round_sizes.pop()
+    covered = sum(round_sizes)
+
+    alive, reachable = oracle.num_nodes(), covered
+    if events or lossy:
+        # the survivor topology (final schedule state) prices alive/reachable
+        view = FaultView(oracle, final_down, _final_down_links(schedule))
+        alive = view.num_nodes()
+        if not static:
+            reachable = component_size(view, source) if source in view else 0
     return RoundFloodResult(
         source=source,
         n=oracle.num_nodes(),
         covered=covered,
         messages=messages,
-        rounds=rounds,
+        rounds=len(round_sizes) - 1,
         round_sizes=round_sizes,
+        alive=alive,
+        reachable=reachable,
     )
 
 
-def _round_flood_generic(
-    oracle: NeighborOracle, source: NodeId
-) -> RoundFloodResult:
-    seen = {source}
-    frontier = [source]
-    covered = 1
-    messages = oracle.degree(source)
-    rounds = 0
-    round_sizes = [1]
-    while True:
-        next_frontier = []
-        for node in frontier:
-            for neighbor in oracle.neighbors(node):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    next_frontier.append(neighbor)
-        if not next_frontier:
-            break
-        rounds += 1
-        round_sizes.append(len(next_frontier))
-        covered += len(next_frontier)
-        messages += sum(oracle.degree(node) - 1 for node in next_frontier)
-        frontier = next_frontier
-    return RoundFloodResult(
-        source=source,
-        n=oracle.num_nodes(),
-        covered=covered,
-        messages=messages,
-        rounds=rounds,
-        round_sizes=round_sizes,
-    )
-
-
-# ----------------------------------------------------------------------
-# The failure engine
-# ----------------------------------------------------------------------
-
-
-def _timeline(schedule) -> List[tuple]:
+def _timeline(schedule: FailureSchedule) -> List[tuple]:
     """Schedule events as (time, phase, kind, a, b), simulator-ordered.
 
     Phase 0 (failures) sorts before phase 1 (recoveries) at equal
@@ -265,116 +272,33 @@ def _timeline(schedule) -> List[tuple]:
     return events
 
 
-def _round_flood_faulty(
+def _replay(
     oracle: NeighborOracle,
-    source: NodeId,
-    schedule,
-    loss_rate: float,
-    loss_seed: int,
-) -> RoundFloodResult:
-    from repro.flooding.failures import _final_down_links, _final_down_nodes
+    events: List[tuple],
+    index: int,
+    until: float,
+    seen: Any,
+    dead: Set[tuple],
+) -> int:
+    """Apply ``events[index:]`` up to time ``until``; return the next index.
 
-    if any(c.node == source and c.time <= 0 for c in schedule.crashes):
-        raise SimulationError("the flood source is crashed at start")
-
-    # the survivor topology (final schedule state) prices alive/reachable
-    view = FaultView(oracle, _final_down_nodes(schedule), _final_down_links(schedule))
-    final_down = view.down_nodes
-    alive = view.num_nodes()
-    reachable = component_size(view, source) if view.has_node(source) else 0
-
-    events = _timeline(schedule)
-    down: set = set()
-    dead_links: set = set()
-    index = 0
-
-    def advance(now: float) -> None:
-        nonlocal index
-        while index < len(events) and events[index][0] <= now:
-            _, _, kind, a, b = events[index]
-            index += 1
-            if kind == "node":
-                down.add(a)
-            elif kind == "node-up":
-                down.discard(a)
-            elif kind == "link":
-                dead_links.add(edge_key(a, b))
-            else:
-                dead_links.discard(edge_key(a, b))
-
-    advance(0)
-    check_links = bool(schedule.link_failures or schedule.link_recoveries)
-    bound = id_bound(oracle)
-    if bound is not None:
-        seen: object = bytearray(bound)
-        seen[source] = 1  # type: ignore[index]
-        is_seen = seen.__getitem__  # type: ignore[attr-defined]
-        mark = lambda v: seen.__setitem__(v, 1)  # type: ignore[attr-defined] # noqa: E731
-    else:
-        seen = {source}
-        is_seen = seen.__contains__  # type: ignore[attr-defined]
-        mark = seen.add  # type: ignore[attr-defined]
-
-    neighbors = oracle.neighbors
-    messages = 0
-    covered = 1 if source not in final_down else 0
-    round_sizes = [covered]
-    frontier = [(source, None)]
-    now = 0
-    while frontier:
-        rng = (
-            random.Random(_loss_round_seed(loss_seed, now))
-            if loss_rate > 0.0
-            else None
-        )
-        pending = []
-        for node, sender in frontier:
-            for target in neighbors(node):
-                if target == sender:
-                    continue  # first receipt suppresses the return copy
-                if check_links and edge_key(node, target) in dead_links:
-                    continue  # link already down at send time: never sent
-                messages += 1
-                if rng is not None and rng.random() < loss_rate:
-                    continue  # counted as sent, lost in flight
-                if not is_seen(target):
-                    pending.append((node, target))
-        if not pending:
-            break
-        advance(now + 1)
-        newly = []
-        survivors_covered = 0
-        for sender, target in pending:
-            if is_seen(target):
-                continue
-            if target in down:
-                continue  # receiver dead at delivery time
-            if check_links and edge_key(sender, target) in dead_links:
-                continue  # link died with the message in flight
-            mark(target)
-            newly.append((target, sender))
-            if target not in final_down:
-                survivors_covered += 1
-        now += 1
-        round_sizes.append(survivors_covered)
-        covered += survivors_covered
-        frontier = newly
-    # doomed nodes keep relaying until the end; completion counts only
-    # deliveries that survive, so trim the trailing doomed-only rounds
-    while len(round_sizes) > 1 and round_sizes[-1] == 0:
-        round_sizes.pop()
-    if covered == 0:
-        round_sizes = [0]
-    return RoundFloodResult(
-        source=source,
-        n=oracle.num_nodes(),
-        covered=covered,
-        messages=messages,
-        rounds=len(round_sizes) - 1,
-        round_sizes=round_sizes,
-        alive=alive,
-        reachable=reachable,
-    )
+    A crash marks an unseen node 2 (down); a recovery resets 2 to 0.  A
+    covered node keeps its 1 — its copies went out on receipt.  Crashes
+    of nodes the oracle does not have are no-ops, as in the simulator.
+    """
+    while index < len(events) and events[index][0] <= until:
+        _, _, kind, a, b = events[index]
+        index += 1
+        if kind == "link":
+            dead.update(((a, b), (b, a)))
+        elif kind == "link-up":
+            dead.difference_update(((a, b), (b, a)))
+        elif oracle_has_node(oracle, a):
+            if kind == "node" and not seen[a]:
+                seen[a] = 2
+            elif kind == "node-up" and seen[a] == 2:
+                seen[a] = 0
+    return index
 
 
 def _loss_round_seed(loss_seed: int, round_index: int) -> int:

@@ -32,14 +32,15 @@ damaged graph, so the view deliberately does *not* forward
 
 Node ids of a dense base stay the *base's* ids (alive ids are no
 longer contiguous), so the view advertises :attr:`FaultView.id_bound`
-— the exclusive upper bound of the base id space — letting flat-array
-consumers (:func:`repro.flooding.rounds.round_flood`,
-:func:`component_size`) keep their ``bytearray`` fast paths.
+— the exclusive upper bound of the base id space — so that
+:func:`visit_marks`, the mark store behind
+:func:`repro.flooding.rounds.round_flood` and :func:`component_size`,
+stays a flat ``bytearray``.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Hashable, Iterable, Iterator, List, Optional
+from typing import Any, FrozenSet, Hashable, Iterable, Iterator, List, Optional
 
 from repro.errors import NodeNotFoundError
 from repro.graphs.graph import edge_key
@@ -249,12 +250,26 @@ class FaultView:
         return sorted(frontier, key=repr)
 
 
+def visit_marks(oracle: NeighborOracle) -> Any:
+    """A per-node mark store with every node of ``oracle`` at 0.
+
+    Dense int ids (see :func:`id_bound`) get a flat ``bytearray`` —
+    ~1 byte per node, so a million-node sweep stays cheap; any other
+    labels get a ``dict`` keyed by every node.  Either way
+    ``marks[v]`` / ``marks[v] = 1`` is the whole interface.  (A
+    0-defaulting ``__missing__`` would spare the upfront node pass but
+    pays a Python call on every first probe — measurably slower.)
+    """
+    bound = id_bound(oracle)
+    if bound is not None:
+        return bytearray(bound)
+    return dict.fromkeys(oracle.iter_nodes(), 0)
+
+
 def component_size(oracle: NeighborOracle, source: Node) -> int:
     """Size of ``source``'s connected component — the BFS witness.
 
-    Runs on any oracle; with dense int ids (see :func:`id_bound`) the
-    visited set is a flat ``bytearray``, so a million-node sweep costs
-    ~1 byte per node of working state.
+    Runs on any oracle; visited state is a :func:`visit_marks` store.
 
     Raises
     ------
@@ -263,33 +278,19 @@ def component_size(oracle: NeighborOracle, source: Node) -> int:
     """
     if not oracle_has_node(oracle, source):
         raise NodeNotFoundError(source)
-    bound = id_bound(oracle)
     neighbors = oracle.neighbors
+    seen = visit_marks(oracle)
+    seen[source] = 1
     count = 1
-    if bound is not None:
-        seen = bytearray(bound)
-        seen[source] = 1
-        frontier = [source]
-        while frontier:
-            next_frontier = []
-            append = next_frontier.append
-            for node in frontier:
-                for w in neighbors(node):
-                    if not seen[w]:
-                        seen[w] = 1
-                        append(w)
-            count += len(next_frontier)
-            frontier = next_frontier
-        return count
-    seen_set = {source}
     frontier = [source]
     while frontier:
         next_frontier = []
+        append = next_frontier.append
         for node in frontier:
             for w in neighbors(node):
-                if w not in seen_set:
-                    seen_set.add(w)
-                    next_frontier.append(w)
+                if not seen[w]:
+                    seen[w] = 1
+                    append(w)
         count += len(next_frontier)
         frontier = next_frontier
     return count

@@ -288,6 +288,17 @@ class TestRoundFloodUnderFailures:
             event.completion_time,
         )
 
+    def test_late_cut_splits_reachable_below_covered(self):
+        # the cycle 0-1-6-4-3-5-7-2 splits after the flood crossed it:
+        # covered == alive, yet the final survivor component is smaller
+        oracle = ImplicitJDOracle(8, 2)
+        schedule = FailureSchedule().fail_link(0, 2, time=10.0).fail_link(4, 6, time=10.0)
+        rounds = round_flood(oracle, 0, schedule=schedule)
+        event = run_flood(materialize(oracle), 0, failures=schedule)
+        assert rounds.covered == rounds.alive == 8
+        assert rounds.reachable == event.reachable == 3
+        assert rounds.messages == event.messages
+
     def test_source_crashed_at_start_raises(self):
         oracle = ImplicitJDOracle(10, 3)
         with pytest.raises(SimulationError, match="crashed at start"):
@@ -311,6 +322,39 @@ class TestRoundFloodUnderFailures:
             other.messages,
             other.round_sizes,
         ) or first.covered == 50
+
+    @pytest.mark.parametrize("backend", ["implicit", "csr", "dict"])
+    def test_lossy_flood_golden_values(self, backend):
+        # loss draws are reproducible only against this engine: pin them
+        oracle = ImplicitJDOracle(50, 3)
+        expected = (46, 93, [1, 3, 6, 7, 7, 5, 5, 5, 4, 3])
+        if backend == "csr":
+            oracle = CSRGraph.from_oracle(oracle)
+        elif backend == "dict":
+            # set iteration order differs from the arithmetic order
+            oracle = materialize(oracle)
+            expected = (49, 99, [1, 3, 6, 7, 7, 5, 5, 5, 5, 4, 1])
+        flood = round_flood(oracle, 0, loss_rate=0.3, loss_seed=7)
+        assert (flood.covered, flood.messages, flood.round_sizes) == expected
+
+    def test_lossy_flood_under_failures_golden_values(self):
+        oracle = ImplicitJDOracle(50, 3)
+        schedule = (
+            FailureSchedule()
+            .crash(25, time=1.0)
+            .recover(25, time=3.0)
+            .fail_link(0, 1, time=0.0)
+        )
+        flood = round_flood(oracle, 0, schedule=schedule, loss_rate=0.2, loss_seed=3)
+        assert (flood.covered, flood.messages, flood.alive, flood.reachable) == (
+            49,
+            98,
+            50,
+            50,
+        )
+        assert flood.round_sizes == [
+            1, 1, 2, 4, 4, 2, 1, 1, 2, 3, 3, 2, 4, 4, 3, 2, 2, 3, 2, 2, 1
+        ]
 
     def test_no_failure_schedule_same_as_no_schedule(self):
         oracle = ImplicitJDOracle(22, 3)

@@ -6,7 +6,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.existence import build_lhg, exists, regular_exists
-from repro.core.jenkins_demers import is_jd_constructible, jenkins_demers_graph
+from repro.core.jenkins_demers import (
+    is_jd_constructible,
+    jd_feasibility,
+    jenkins_demers_graph,
+)
 from repro.core.kdiamond import kdiamond_graph, kdiamond_plan
 from repro.core.ktree import ktree_graph, ktree_plan
 from repro.core.properties import theoretical_diameter_bound
@@ -16,11 +20,14 @@ from repro.graphs.connectivity import (
     local_edge_connectivity,
     local_node_connectivity,
 )
+from repro.graphs.csr import CSRGraph
 from repro.graphs.generators.harary import harary_graph, harary_minimum_edges
 from repro.graphs.generators.random import gnp_random_graph
 from repro.graphs.graph import Graph
+from repro.graphs.implicit import ImplicitJDOracle
 from repro.graphs.io import from_json, to_json
 from repro.graphs.minimality import has_degree_witness_minimality
+from repro.graphs.oracle import materialize
 from repro.graphs.properties import is_k_regular
 from repro.graphs.traversal import bfs_levels, diameter, is_connected
 
@@ -320,3 +327,63 @@ class TestFloodingInvariant:
         remaining = survivors(graph, schedule)
         expected = set(bfs_levels(remaining, source))
         assert result.covered == len(expected)
+
+
+class TestRoundFloodMatchesEventFlood:
+    """The round engine vs the event simulator under random schedules."""
+
+    PAIRS = [
+        (n, k)
+        for k in (2, 3, 4)
+        for n in range(2 * k, 2 * k + 14)
+        if jd_feasibility(n, k) is not None
+    ]
+    TIMES = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(PAIRS), st.sampled_from(["implicit", "csr", "str"]), st.data())
+    def test_field_for_field(self, nk, backend, data):
+        from repro.flooding.experiments import run_flood
+        from repro.flooding.failures import FailureSchedule
+        from repro.flooding.rounds import round_flood
+
+        n, k = nk
+        oracle = ImplicitJDOracle(n, k)
+        graph = materialize(oracle)
+        edges = sorted(graph.edges())
+        label = (lambda v: f"v{v}") if backend == "str" else (lambda v: v)
+        if backend == "str":
+            graph = Graph(edges=[(label(u), label(v)) for u, v in edges])
+            oracle = graph
+        elif backend == "csr":
+            oracle = CSRGraph.from_oracle(oracle)
+        source = data.draw(st.integers(0, n - 1), label="source")
+        nodes = st.integers(0, n - 1)
+        schedule = FailureSchedule()
+        for v, t in data.draw(st.lists(st.tuples(nodes, self.TIMES), max_size=3)):
+            if v == source and t <= 0:
+                continue  # both engines refuse a source dead at start
+            schedule.crash(label(v), time=t)
+            if data.draw(st.booleans()):
+                schedule.recover(label(v), time=data.draw(self.TIMES))
+        for (u, v), t in data.draw(
+            st.lists(st.tuples(st.sampled_from(edges), self.TIMES), max_size=3)
+        ):
+            schedule.fail_link(label(u), label(v), time=t)
+            if data.draw(st.booleans()):
+                schedule.restore_link(label(u), label(v), time=data.draw(self.TIMES))
+        rounds = round_flood(oracle, label(source), schedule=schedule)
+        event = run_flood(graph, label(source), failures=schedule)
+        assert (
+            rounds.covered,
+            rounds.messages,
+            rounds.completion_time,
+            rounds.alive,
+            rounds.reachable,
+        ) == (
+            event.covered,
+            event.messages,
+            event.completion_time,
+            event.alive,
+            event.reachable,
+        ), schedule
