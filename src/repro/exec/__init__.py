@@ -7,11 +7,11 @@ over a parameter grid.  This package gives those maps four things:
 * :class:`~repro.exec.pool.WorkerPool` — a process-pool executor whose
   results are byte-identical to the serial loop (items carry their own
   derived seeds; results are collected positionally);
-* :mod:`~repro.exec.supervisor` — fault tolerance around the pool:
-  per-item wall-clock timeouts, worker-death detection, bounded retries
-  with deterministic backoff, poison-item quarantine
-  (:class:`~repro.exec.supervisor.ItemFailure`) and graceful degradation
-  to serial, configured via
+* :mod:`~repro.exec.supervisor` — the fork executor every map runs
+  through: worker-death detection and graceful degradation to serial,
+  plus per-item wall-clock timeouts, bounded retries with deterministic
+  backoff and poison-item quarantine
+  (:class:`~repro.exec.supervisor.ItemFailure`) when configured via
   :class:`~repro.exec.supervisor.SupervisorConfig`;
 * :class:`~repro.exec.checkpoint.CheckpointJournal` — an append-only
   JSONL journal of completed cells keyed by stable SHA-256
@@ -53,7 +53,7 @@ from repro.exec.pool import (
     parallel_map,
     resolve_workers,
 )
-from repro.exec.profiling import CellTiming, ExecutionReport, Stopwatch
+from repro.exec.profiling import CellTiming, ExecutionReport
 from repro.exec.seeding import derive_seed, seed_key
 from repro.exec.supervisor import (
     CrashInjector,
@@ -77,7 +77,6 @@ __all__ = [
     "ItemFailure",
     "KeyedCache",
     "RemoteTraceback",
-    "Stopwatch",
     "SupervisionStats",
     "SupervisorConfig",
     "TopologySpec",

@@ -8,121 +8,62 @@ that hold:
 * **Determinism is the caller's half of the contract**: every item must
   carry its own seed (see :mod:`repro.exec.seeding`), so a cell's
   output is a pure function of the item, never of scheduling order.
-* **Order is the pool's half**: results are collected positionally
-  (``multiprocessing.Pool.map``), so the output list lines up with the
-  input list even when cells finish out of order.
+* **Order is the pool's half**: each result lands in its item's slot,
+  so the output list lines up with the input list even when cells
+  finish out of order.
 
-Implementation notes
---------------------
-The pool uses the ``fork`` start method and ships only *item indices*
-to workers.  The function and item list are published in module globals
-immediately before forking, so children inherit them through the forked
-address space.  This sidesteps pickling entirely for the *inputs* —
-closures, lambdas and scenario recipes all work — while results still
-cross a pipe and therefore must be picklable (every result type in this
-codebase — ``CellResult``, ``RunSummary``, ``FloodResult``, plain
-dicts — is).
+Every map runs through the one fork executor,
+:class:`~repro.exec.supervisor.SupervisedExecutor`: forked workers
+inherit the function and items through the forked address space (inputs
+never pickle; results cross a pipe and must), and the parent selects on
+their result pipes.  ``supervisor=SupervisorConfig(...)`` turns on
+per-item timeouts, bounded deterministic retries and poison-item
+quarantine.  Without one a map gets no retries and aborts on the first
+failure, but a worker that dies still surfaces as an
+:class:`~repro.errors.ExecutionError` instead of a hang.
 
-Where ``fork`` is unavailable (Windows, some macOS configurations),
-the machine has a single CPU core (forking there only adds IPC and
-scheduling overhead), or the caller asks for 1 worker, the pool
-degrades to an in-process serial loop with the same semantics, and the
-attached :class:`~repro.exec.profiling.ExecutionReport` records which
-mode ran.  Forked maps dispatch items in batches (four chunks per
-worker) so short cells amortize the per-dispatch pipe round-trip.
-Nested pools never fork twice: a map issued from inside a worker runs
-serially in that worker.
+A map runs as an in-process serial loop with the same semantics, and
+the attached :class:`~repro.exec.profiling.ExecutionReport` says so,
+where ``fork`` is unavailable, the caller asks for 1 worker, the map is
+issued from inside a worker (nested pools never fork twice), or the
+machine has a single CPU core and the map neither times out nor retries
+(forking there only adds IPC and scheduling overhead).
 
-Exceptions raised inside a forked worker are re-raised in the parent
-with the worker-side traceback attached: the rebuilt exception carries a
-``remote_traceback`` string attribute and a :class:`RemoteTraceback`
-``__cause__``, so a failing campaign cell is debuggable instead of
-pointing at ``pool.map``.
-
-Passing ``supervisor=SupervisorConfig(...)`` swaps the bare pool for the
-fault-tolerant executor of :mod:`repro.exec.supervisor`: per-item
-timeouts, worker-death detection, bounded deterministic retries and
-poison-item quarantine, with the same ordered-results contract.
+An exception raised by a cell of a plain map is re-raised in the parent
+as itself.  From a forked worker it carries the worker-side traceback
+as a ``remote_traceback`` string attribute and a
+:class:`~repro.exec.supervisor.RemoteTraceback` ``__cause__``, so a
+failing campaign cell is debuggable instead of pointing at ``pool.map``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
-import traceback
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import repro.obs as obs
-from repro.exec.profiling import CellTiming, ExecutionReport, Stopwatch
+from repro.errors import ExecutionError
+from repro.exec.profiling import CellTiming, ExecutionReport
+from repro.exec.supervisor import (
+    RemoteTraceback,
+    SupervisedExecutor,
+    SupervisionStats,
+    SupervisorConfig,
+    fork_available,
+)
 
-# Published just before forking; inherited by children (see module docstring).
-_TASK_FN: Optional[Callable[[Any], Any]] = None
-_TASK_ITEMS: Sequence[Any] = ()
-# True inside a forked worker: forbids nested forking.
-_IN_WORKER = False
+__all__ = [
+    "RemoteTraceback",
+    "WorkerPool",
+    "fork_available",
+    "parallel_map",
+    "resolve_workers",
+]
 
-
-class RemoteTraceback(Exception):
-    """Carrier for a worker-side traceback, attached as ``__cause__``."""
-
-    def __init__(self, tb: str) -> None:
-        super().__init__(tb)
-        self.tb = tb
-
-    def __str__(self) -> str:
-        return self.tb
-
-
-def _rebuild_exc(exc: BaseException, tb: str) -> BaseException:
-    """Reattach a worker-side traceback string to a rebuilt exception."""
-    exc.remote_traceback = tb
-    exc.__cause__ = RemoteTraceback(tb)
-    return exc
-
-
-class _RemoteError:
-    """Pickled carrier for a worker-side exception and its traceback text.
-
-    Exceptions lose their traceback when pickled across the result pipe
-    (and ``multiprocessing`` would re-wrap a raised one with its own
-    machinery), so workers *return* this carrier instead of raising; the
-    parent rebuilds the original exception with the remote traceback
-    attached via :func:`_rebuild_exc` and raises it there.
-    """
-
-    def __init__(self, exc: BaseException, tb: str) -> None:
-        self.exc = exc
-        self.tb = tb
-
-
-def _invoke(index: int):
-    """Run one cell by index; return ``(value, seconds, telemetry)``.
-
-    Failures come back as a ``(_RemoteError, seconds, telemetry)``
-    triple rather than propagating — see :class:`_RemoteError`.  The
-    third slot is the captured telemetry payload for the cell (``None``
-    when no collector is installed); forked workers inherit the parent's
-    collector and ship their events back through this slot.
-    """
-    token = obs.capture_start()
-    started = time.perf_counter()
-    try:
-        value = _TASK_FN(_TASK_ITEMS[index])
-    except Exception as exc:
-        value = _RemoteError(exc, traceback.format_exc())
-    seconds = time.perf_counter() - started
-    return value, seconds, obs.capture_finish(token)
-
-
-def _mark_worker() -> None:
-    global _IN_WORKER
-    _IN_WORKER = True
-
-
-def fork_available() -> bool:
-    """Whether this platform supports the ``fork`` start method."""
-    return "fork" in multiprocessing.get_all_start_methods()
+# What ``supervisor=None`` means: no retries, and the first failure
+# aborts the map.
+_PLAIN = SupervisorConfig(retries=0, failure_mode="raise")
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -162,9 +103,10 @@ class WorkerPool:
         are snapshotted into each map's execution report.
     supervisor:
         Optional :class:`~repro.exec.supervisor.SupervisorConfig`.  When
-        given, maps run under supervision — per-item timeouts, retries
-        with deterministic backoff, worker-death recovery and
-        poison-item quarantine — instead of the bare fork pool.
+        given, maps add per-item timeouts, retries with deterministic
+        backoff and poison-item quarantine; without one a map neither
+        retries nor quarantines, and re-raises a failing item's own
+        exception.
 
     Attributes
     ----------
@@ -204,100 +146,24 @@ class WorkerPool:
         items = list(items)
         if labels is None:
             labels = [str(i) for i in range(len(items))]
-        if self.supervisor is not None:
-            return self._map_supervised(fn, items, labels)
-        workers = min(self.requested_workers, max(1, len(items)))
-        # On a single-core box forking can only add overhead (the OS
-        # timeslices the same CPU across children plus IPC costs), so
-        # degrade to the in-process loop and say so in the report.
-        multicore = (os.cpu_count() or 1) > 1
-        use_pool = (
-            workers > 1 and multicore and fork_available() and not _IN_WORKER
-        )
-
-        mark = _telemetry_mark()
-        with obs.span("map", items=len(items)) as map_span:
-            with Stopwatch() as watch:
-                if use_pool:
-                    mode = "fork-pool"
-                    triples = self._map_forked(fn, items, workers)
-                else:
-                    mode, workers = "serial", 1
-                    triples = [_timed_call(fn, item) for item in items]
-            # Merge worker telemetry in submission order — deterministic
-            # regardless of worker count or completion order.
-            for label, (_, _, payload) in zip(labels, triples):
-                obs.adopt(payload, label=label)
-            map_span.set(mode=mode, workers=workers)
-
-        self.last_report = ExecutionReport(
-            mode=mode,
-            workers=workers,
-            requested_workers=self.requested_workers,
-            wall_seconds=watch.seconds,
-            timings=[
-                CellTiming(label=label, seconds=seconds)
-                for label, (_, seconds, _) in zip(labels, triples)
-            ],
-            cache=self.cache.stats() if self.cache is not None else None,
-            span_tree=_telemetry_tree(mark),
-        )
-        return [value for value, _, _ in triples]
-
-    # ------------------------------------------------------------------
-
-    def _map_forked(
-        self, fn: Callable[[Any], Any], items: Sequence[Any], workers: int
-    ) -> List[Any]:
-        global _TASK_FN, _TASK_ITEMS
-        context = multiprocessing.get_context("fork")
-        _TASK_FN, _TASK_ITEMS = fn, items
-        pool = context.Pool(processes=workers, initializer=_mark_worker)
-        try:
-            # Batch several items per dispatch: with chunksize=1 every
-            # cell pays one IPC round-trip, which for sub-millisecond
-            # cells costs more than the cell itself and drives measured
-            # speedup below 1.0.  Four chunks per worker keeps the tail
-            # balanced while amortizing the pipe traffic; positional
-            # ordering (and thus determinism) is unaffected.
-            chunksize = max(1, len(items) // (workers * 4))
-            triples = pool.map(_invoke, range(len(items)), chunksize=chunksize)
-            for value, _, _ in triples:
-                if isinstance(value, _RemoteError):
-                    raise _rebuild_exc(value.exc, value.tb)
-            return triples
-        finally:
-            # terminate + join unconditionally: on KeyboardInterrupt (or
-            # any error) mid-map this kills and *reaps* every child, so
-            # an interrupted sweep leaves no zombies behind.
-            pool.terminate()
-            pool.join()
-            _TASK_FN, _TASK_ITEMS = None, ()
-
-    # ------------------------------------------------------------------
-
-    def _map_supervised(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        labels: Sequence[str],
-    ) -> List[Any]:
-        from repro.exec.supervisor import SupervisedExecutor
-
-        workers = min(self.requested_workers, max(1, len(items)))
         executor = SupervisedExecutor(
-            fn, items, labels, config=self.supervisor, workers=workers
+            fn,
+            items,
+            labels,
+            config=self.supervisor or _PLAIN,
+            workers=min(self.requested_workers, max(1, len(items))),
         )
         mark = _telemetry_mark()
         with obs.span("map", items=len(items)) as map_span:
-            with Stopwatch() as watch:
-                results, stats = executor.run()
+            started = time.perf_counter()
+            results, stats = self._run(executor)
+            wall_seconds = time.perf_counter() - started
             map_span.set(mode=stats.mode, workers=stats.workers_used)
         self.last_report = ExecutionReport(
             mode=stats.mode,
             workers=stats.workers_used,
             requested_workers=self.requested_workers,
-            wall_seconds=watch.seconds,
+            wall_seconds=wall_seconds,
             timings=[
                 CellTiming(label=label, seconds=seconds)
                 for label, seconds in zip(labels, stats.timings)
@@ -311,13 +177,22 @@ class WorkerPool:
         )
         return results
 
+    def _run(
+        self, executor: SupervisedExecutor
+    ) -> Tuple[List[Any], SupervisionStats]:
+        """``executor.run()``; a plain map re-raises the item's own error.
 
-def _timed_call(fn: Callable[[Any], Any], item: Any):
-    token = obs.capture_start()
-    started = time.perf_counter()
-    value = fn(item)
-    seconds = time.perf_counter() - started
-    return value, seconds, obs.capture_finish(token)
+        The re-raise happens outside the ``except`` block so the item's
+        exception keeps its own ``__context__`` instead of gaining the
+        :class:`~repro.errors.ExecutionError` wrapper.
+        """
+        try:
+            return executor.run()
+        except ExecutionError as exc:
+            if self.supervisor is not None or exc.__cause__ is None:
+                raise
+            cause: BaseException = exc.__cause__
+        raise cause
 
 
 def _telemetry_mark() -> int:

@@ -11,7 +11,6 @@ results — simulated time and profiling wall time are separate worlds.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -31,10 +30,9 @@ class ExecutionReport:
     Attributes
     ----------
     mode:
-        ``"serial"`` (in-process loop), ``"fork-pool"`` (bare process
-        pool), or one of the supervised modes — ``"supervised-fork"``,
-        ``"supervised-serial"``, ``"supervised-degraded"`` (started
-        forked, finished serially after the worker-death budget ran out).
+        ``"serial"`` (in-process loop), ``"fork-pool"`` (forked
+        workers), or ``"degraded"`` (started forked, finished serially
+        after the worker-death budget ran out).
     workers:
         Worker processes actually used (1 for serial).
     requested_workers:
@@ -133,16 +131,3 @@ class ExecutionReport:
             parts.append(f"{len(self.failures)} cell(s) quarantined")
         return ", ".join(parts)
 
-
-class Stopwatch:
-    """Tiny context manager: ``with Stopwatch() as w: ...; w.seconds``."""
-
-    def __init__(self) -> None:
-        self.seconds = 0.0
-
-    def __enter__(self) -> "Stopwatch":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.seconds = time.perf_counter() - self._start

@@ -1,16 +1,17 @@
-"""Supervised execution: a fault-tolerant layer around the fork pool.
+"""Supervised execution: the fork executor behind every map.
 
-The bare :class:`~repro.exec.pool.WorkerPool` assumes its workers are
-well-behaved: a worker that crashes, hangs or gets OOM-killed stalls the
-whole map, and a single raising cell aborts the grid.  This module adds
-the supervision layer the ROADMAP's "survive the fault model we
-simulate" goal demands:
+Every :meth:`~repro.exec.pool.WorkerPool.map` runs through
+:class:`SupervisedExecutor`, the one module in the repository that
+forks.  A plain map (``supervisor=None``) gets a config with no retries
+that raises on the first failure; a :class:`SupervisorConfig` adds the
+supervision the ROADMAP's "survive the fault model we simulate" goal
+demands:
 
 * **per-item wall-clock timeouts** — a cell that exceeds its budget gets
   its worker SIGKILLed and the item reassigned to a fresh worker;
 * **worker-death detection** — the parent selects on each worker's
   result pipe, so an ``os._exit``/OOM-kill surfaces as EOF (and a
-  ``waitpid`` reap) instead of a hang;
+  ``waitpid`` reap) instead of a hang, even for a plain map;
 * **bounded retries with exponential backoff** — every failed attempt is
   retried up to ``retries`` times; the backoff delay is jittered
   deterministically via :func:`~repro.exec.seeding.derive_seed`, and the
@@ -20,8 +21,8 @@ simulate" goal demands:
   recorded as a structured :class:`ItemFailure` in that result slot (and
   in the execution report) instead of aborting the map
   (``failure_mode="quarantine"``), or raises an
-  :class:`~repro.errors.ExecutionError` carrying the remote traceback
-  (``failure_mode="raise"``);
+  :class:`~repro.errors.ExecutionError` from the item's own exception,
+  rebuilt with its worker-side traceback (``failure_mode="raise"``);
 * **graceful degradation** — where ``fork`` is unavailable, inside a
   worker, or once workers keep dying past the death budget, the
   remaining items run serially in the parent with the same
@@ -41,6 +42,7 @@ campaigns, sweeps and the CLI thread the knobs through as ``timeout=`` /
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import select
@@ -57,12 +59,63 @@ from repro.errors import ExecutionError
 from repro.exec.seeding import derive_seed
 
 # Published just before forking; inherited by children through the
-# forked address space (same trick as repro.exec.pool).
+# forked address space, so inputs never need to pickle — closures,
+# lambdas and scenario recipes all work.
 _SUP_FN: Optional[Callable[[Any], Any]] = None
 _SUP_ITEMS: Sequence[Any] = ()
 _SUP_HOOK: Optional[Callable[["FaultContext"], None]] = None
+# True inside a forked worker: forbids nested forking.
+_IN_WORKER = False
 
 _HEADER = struct.Struct("!I")
+
+
+def _mark_worker() -> None:
+    global _IN_WORKER
+    _IN_WORKER = True
+
+
+def fork_available() -> bool:
+    """Whether this platform supports the ``fork`` start method."""
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+class RemoteTraceback(Exception):
+    """Carrier for a worker-side traceback, attached as ``__cause__``."""
+
+    def __init__(self, tb: str) -> None:
+        super().__init__(tb)
+        self.tb = tb
+
+    def __str__(self) -> str:
+        return self.tb
+
+
+def _pickle_exc(exc: BaseException) -> Optional[bytes]:
+    """``exc`` pickled for the parent, or ``None`` when it will not pickle."""
+    try:
+        return pickle.dumps(exc)
+    except Exception:
+        return None
+
+
+def _rebuild_exc(blob: Optional[bytes], tb: str) -> Optional[BaseException]:
+    """A worker's exception with its traceback reattached, if it unpickles.
+
+    Exceptions lose their traceback when pickled across the result pipe;
+    the rebuilt one carries it as a ``remote_traceback`` string attribute
+    and a :class:`RemoteTraceback` ``__cause__``, so a failing cell points
+    at the cell rather than at the map.
+    """
+    if blob is None:
+        return None
+    try:
+        exc = pickle.loads(blob)
+    except Exception:
+        return None
+    exc.remote_traceback = tb
+    exc.__cause__ = RemoteTraceback(tb)
+    return exc
 
 
 # ----------------------------------------------------------------------
@@ -187,7 +240,7 @@ class SupervisorConfig:
 class SupervisionStats:
     """What one supervised map did beyond its results."""
 
-    mode: str = "supervised-serial"
+    mode: str = "serial"
     workers_used: int = 1
     retries: int = 0
     timeouts: int = 0
@@ -326,7 +379,9 @@ def _child_loop(task_r: int, result_w: int) -> None:
                 )
             value = _SUP_FN(_SUP_ITEMS[index])
             seconds = time.perf_counter() - started
-            reply = ("ok", index, attempt, value, seconds, obs.capture_finish(token))
+            reply: Tuple[Any, ...] = (
+                "ok", index, attempt, value, seconds, obs.capture_finish(token)
+            )
         except (KeyboardInterrupt, SystemExit):
             # die visibly instead of reporting the interrupt as an item
             # failure: the parent sees EOF on the result pipe, records a
@@ -341,6 +396,7 @@ def _child_loop(task_r: int, result_w: int) -> None:
                 type(exc).__name__,
                 str(exc),
                 traceback.format_exc(),
+                _pickle_exc(exc),
             )
         try:
             _write_msg(result_w, reply)
@@ -360,6 +416,7 @@ def _child_loop(task_r: int, result_w: int) -> None:
                         "UnpicklableResult",
                         f"result of item {index} could not be pickled",
                         traceback.format_exc(),
+                        None,
                     ),
                 )
             except (KeyboardInterrupt, SystemExit):
@@ -438,23 +495,23 @@ class SupervisedExecutor:
         Quarantined slots hold their :class:`ItemFailure` (also listed in
         ``stats.failures``); every other slot holds the item's value.
         """
-        from repro.exec import pool as _pool
-
         if not self.items:
-            self.stats.mode = "supervised-serial"
             return [], self.stats
+        # On one core forking buys only isolation, and isolation pays
+        # only when the map kills overdue items or retries after a death;
+        # a plain map there stays an in-process loop.
+        isolate = self.config.timeout is not None or self.config.retries > 0
         use_fork = (
             self.workers > 1
-            and _pool.fork_available()
-            and not _pool._IN_WORKER
+            and fork_available()
+            and not _IN_WORKER
+            and ((os.cpu_count() or 1) > 1 or isolate)
         )
         if use_fork:
-            self.stats.mode = "supervised-fork"
+            self.stats.mode = "fork-pool"
             self.stats.workers_used = self.workers
             self._run_forked()
         else:
-            self.stats.mode = "supervised-serial"
-            self.stats.workers_used = 1
             self._run_serial()
         self.stats.timings = list(self._timings)
         # Merge per-item telemetry in submission order, never completion
@@ -508,9 +565,7 @@ class SupervisedExecutor:
                             os.close(fd)
                         except OSError:
                             pass
-                from repro.exec import pool as _pool
-
-                _pool._mark_worker()
+                _mark_worker()
                 _child_loop(task_r, result_w)
             finally:
                 os._exit(1)
@@ -622,13 +677,15 @@ class SupervisedExecutor:
             self._telemetry[index] = telemetry
             self._finish(index, value, seconds, succeeded=True)
         else:
-            _, index, _, error, detail, remote_tb = message
+            _, index, _, error, detail, remote_tb, blob = message
             task = worker.task
             worker.task = None
             worker.deadline = None
             if task is None or task.index != index:  # pragma: no cover
                 task = _Attempt(index, message[2], 0.0)
-            self._record_failure(task, error, detail, remote_tb)
+            self._record_failure(
+                task, error, detail, remote_tb, _rebuild_exc(blob, remote_tb)
+            )
 
     def _check_deadlines(self, now: float) -> None:
         for worker in list(self._workers.values()):
@@ -668,7 +725,7 @@ class SupervisedExecutor:
         self._death_budget -= 1
         if self._death_budget < 0 and not self.stats.degraded:
             self.stats.degraded = True
-            self.stats.mode = "supervised-degraded"
+            self.stats.mode = "degraded"
             obs.event(
                 "degraded",
                 src="exec",
@@ -730,7 +787,7 @@ class SupervisedExecutor:
             except Exception as exc:
                 obs.capture_finish(token)  # roll back the failed attempt
                 self._record_failure(
-                    task, type(exc).__name__, str(exc), traceback.format_exc()
+                    task, type(exc).__name__, str(exc), traceback.format_exc(), exc
                 )
                 continue
             seconds = time.perf_counter() - started
@@ -751,7 +808,12 @@ class SupervisedExecutor:
             self.config.on_result(index, value)
 
     def _record_failure(
-        self, task: _Attempt, error: str, detail: str, remote_tb: str
+        self,
+        task: _Attempt,
+        error: str,
+        detail: str,
+        remote_tb: str,
+        exc: Optional[BaseException] = None,
     ) -> None:
         attempts = task.attempt + 1
         if task.attempt < self.config.retries:
@@ -792,7 +854,7 @@ class SupervisedExecutor:
                 f"{error}: {detail}"
                 + (f"\n--- remote traceback ---\n{remote_tb}" if remote_tb else ""),
                 failure=failure,
-            )
+            ) from exc
         obs.event(
             "quarantine",
             src="exec",

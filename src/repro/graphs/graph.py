@@ -18,7 +18,6 @@ the test suite.
 
 from __future__ import annotations
 
-import warnings
 from types import MappingProxyType
 from typing import (
     Dict,
@@ -255,23 +254,6 @@ class Graph:
         if node not in self._adj:
             raise NodeNotFoundError(node)
         return set(self._adj[node])
-
-    def adjacency(self) -> Dict[Node, Set[Node]]:
-        """Return a deep copy of the adjacency map.
-
-        .. deprecated::
-            The deep copy is O(n + m) per call and surprised every
-            caller that only wanted to *read* the structure.  Use
-            :meth:`adjacency_view` for zero-copy reads, or build the
-            copy explicitly when mutation is intended.
-        """
-        warnings.warn(
-            "Graph.adjacency() deep-copies the adjacency map; use "
-            "adjacency_view() for zero-copy reads",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {node: set(nbrs) for node, nbrs in self._adj.items()}
 
     def adjacency_view(self) -> Mapping[Node, Set[Node]]:
         """Return a read-only, zero-copy view of the adjacency map.

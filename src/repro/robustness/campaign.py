@@ -664,9 +664,9 @@ class ChaosCampaign:
             overrides ``timeout``/``retries``.
 
         Any of ``checkpoint``/``timeout``/``retries``/``supervisor``
-        switches execution to the supervised pool, which also survives
-        worker crashes and hangs; with none of them the bare
-        deterministic fork pool runs as before.
+        turns on retries and quarantine (and, with ``timeout``, kills
+        hung cells); with none of them the map neither retries nor
+        quarantines, and a failing cell or a dead worker aborts it.
         """
         with obs.span(
             "campaign",

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -123,6 +126,46 @@ class TestWorkerPool:
         assert "in boom" in exc.remote_traceback
         assert isinstance(exc.__cause__, RemoteTraceback)
         assert "in boom" in str(exc.__cause__)
+
+    @pytest.mark.skipif(not fork_available(), reason="requires fork")
+    def test_worker_death_raises_instead_of_hanging(self):
+        # a subprocess with a timeout, so a map that never returns fails
+        # the test instead of hanging the suite
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        proc = subprocess.run(
+            [sys.executable, "-c", _WORKER_DEATH_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["RAISED", "worker-died"]
+
+
+_WORKER_DEATH_SCRIPT = textwrap.dedent(
+    """
+    import os
+
+    from repro.errors import ExecutionError
+    from repro.exec import WorkerPool
+
+    def die_on_one(x):
+        if x == 1:
+            os._exit(3)
+        return x
+
+    # pretend to be multicore so the plain map forks even on 1-CPU CI
+    os.cpu_count = lambda: 2
+    try:
+        WorkerPool(workers=2).map(die_on_one, [0, 1, 2, 3])
+    except ExecutionError as exc:
+        print("RAISED", exc.failure.error)
+    else:
+        print("RETURNED")
+    """
+)
 
 
 class TestDeriveSeed:

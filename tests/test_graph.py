@@ -109,13 +109,6 @@ class TestQueries:
     def test_edge_key_symmetric(self):
         assert edge_key(1, 2) == edge_key(2, 1)
 
-    def test_adjacency_deep_copy(self):
-        g = Graph(edges=[(0, 1)])
-        with pytest.warns(DeprecationWarning):
-            adj = g.adjacency()
-        adj[0].add(7)
-        assert not g.has_edge(0, 7)
-
     def test_adjacency_view_zero_copy_read_only(self):
         g = Graph(edges=[(0, 1)])
         view = g.adjacency_view()

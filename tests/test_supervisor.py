@@ -54,7 +54,7 @@ class TestSupervisedMapPlain:
         expected = [_cell(item) for item in items]
         results, stats = supervised_map(_cell, items, workers=1)
         assert results == expected
-        assert stats.mode == "supervised-serial"
+        assert stats.mode == "serial"
         assert not stats.failures
 
     @needs_fork
@@ -63,7 +63,7 @@ class TestSupervisedMapPlain:
         expected = [_cell(item) for item in items]
         results, stats = supervised_map(_cell, items, workers=3)
         assert results == expected
-        assert stats.mode == "supervised-fork"
+        assert stats.mode == "fork-pool"
         assert stats.workers_used == 3
         assert not stats.failures
 
@@ -164,7 +164,7 @@ class TestCrashInjectionSelfTest:
         )
         assert results == expected
         assert stats.degraded
-        assert stats.mode == "supervised-degraded"
+        assert stats.mode == "degraded"
         assert not stats.failures
 
     def test_injector_is_deterministic_and_parent_safe(self):
@@ -247,7 +247,7 @@ class TestPoolIntegration:
         items = _items(16)
         assert pool.map(_cell, items) == [_cell(item) for item in items]
         report = pool.last_report
-        assert report.mode == "supervised-fork"
+        assert report.mode == "fork-pool"
         assert report.worker_deaths > 0
         assert not report.failures
         assert "worker death" in report.summary()
