@@ -80,13 +80,36 @@ def _eligible_extra_hosts(schema: TreeSchema) -> List[int]:
     return schema.interiors_above_leaves(include_root=False)
 
 
+def _leaf_parent(j: int, k: int) -> int:
+    """Interior id the structural leaf slot ``j`` hangs off.
+
+    FIFO growth gives the root slots ``0 … k − 1`` and interior
+    ``i ≥ 1`` the next k − 1 slots, so the parent is arithmetic.
+    """
+    if j < k:
+        return 0
+    return (j - k) // (k - 1) + 1
+
+
+def _eligible_host_count(k: int, conversions: int) -> int:
+    """``len(_eligible_extra_hosts(grown_schema(k, conversions)))`` in O(1).
+
+    After α conversions the live leaf slots are ``α … T − 1``; their
+    parents run from ``_leaf_parent(α)`` up to the newest interior α,
+    one consecutive id range, of which the root (id 0) is not eligible.
+    """
+    if conversions == 0:
+        return 0
+    return conversions + 1 - max(1, _leaf_parent(conversions, k))
+
+
 def jd_feasibility(n: int, k: int) -> Optional[JDPlan]:
     """Return a build plan for (n, k) under the JD rule, or ``None``.
 
     Searches the (at most two) candidate conversion counts whose clean
     size n₀ lies within the 2k-wide slack window below ``n``, and checks
-    the even-offset and eligible-host constraints against the actual
-    tree shape.
+    the even-offset and eligible-host constraints against the tree
+    shape, counted in closed form without growing the tree.
 
     Raises
     ------
@@ -114,8 +137,7 @@ def jd_feasibility(n: int, k: int) -> Optional[JDPlan]:
             return JDPlan(n=n, k=k, conversions=conversions, extra_pairs=0)
         if pairs > k:
             continue
-        schema = grown_schema(k, conversions)
-        if pairs <= len(_eligible_extra_hosts(schema)):
+        if pairs <= _eligible_host_count(k, conversions):
             return JDPlan(n=n, k=k, conversions=conversions, extra_pairs=pairs)
     return None
 

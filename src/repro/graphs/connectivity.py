@@ -15,6 +15,16 @@ definition ask:
 * :func:`node_disjoint_paths` / :func:`edge_disjoint_paths` — Menger
   witnesses extracted from the flow decomposition.
 
+Every sweep (the global values, the predicates and the cuts) reads
+``graph.edges()`` once and compiles one flow network for the graph;
+each probed pair is then a :meth:`~repro.graphs.maxflow.FlowNetwork.max_flow`
+query on that network.  Node connectivity runs on the vertex-split
+network from ``("out", s)`` to ``("in", t)``, which counts internally
+disjoint paths for non-adjacent pairs — the only pairs the Even–Tarjan
+sweep probes.  The single-pair functions answer an adjacent pair with
+Menger's identity κ(s, t) = 1 + κ_{G−st}(s, t): the edge st is one
+path, and it shares no interior node with any path of G − st.
+
 Conventions (standard, and the ones the paper uses implicitly): for the
 complete graph K_n, κ = n − 1; disconnected graphs have κ = λ = 0;
 single-node graphs have κ = λ = 0.
@@ -22,10 +32,10 @@ single-node graphs have κ = λ = 0.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import GraphError, NodeNotFoundError
-from repro.graphs.graph import Graph, Node
+from repro.graphs.graph import Edge, Graph, Node
 from repro.graphs.maxflow import (
     FlowNetwork,
     edge_disjoint_flow_network,
@@ -41,6 +51,46 @@ def _require_distinct_nodes(graph: Graph, s: Node, t: Node) -> None:
         raise NodeNotFoundError(t)
     if s == t:
         raise GraphError("connectivity between a node and itself is undefined")
+
+
+def _node_flow(
+    net: FlowNetwork, s: Node, t: Node, cutoff: Optional[int] = None
+) -> int:
+    """κ(s, t) for a non-adjacent pair, as a query on a split network."""
+    return int(net.max_flow(("out", s), ("in", t), cutoff=cutoff))
+
+
+def _pair_network(graph: Graph, s: Node, t: Node) -> Tuple[FlowNetwork, bool]:
+    """Split network for one pair, built on G − st when s and t are adjacent.
+
+    Returns the network and whether the edge st was left out; the
+    caller adds that edge back as the one extra disjoint path.
+    """
+    edges: List[Edge] = graph.edges()
+    adjacent = graph.has_edge(s, t)
+    if adjacent:
+        edges = [(u, v) for u, v in edges if not (u in (s, t) and v in (s, t))]
+    return node_disjoint_flow_network(graph.nodes(), edges), adjacent
+
+
+def _even_tarjan_pairs(graph: Graph) -> Iterator[Tuple[Node, Node]]:
+    """Yield the non-adjacent pairs whose least κ(s, t) is κ(G).
+
+    A minimum-degree pivot v paired with each non-neighbour, then each
+    non-adjacent pair of v's neighbours.  The pivot's degree bounds κ
+    and keeps the neighbour-pair probe set small.
+    """
+    pivot = min(graph.nodes(), key=graph.degree)
+    neighbors = graph.neighbors(pivot)
+    for w in graph:
+        if w != pivot and w not in neighbors:
+            yield pivot, w
+    neighbor_list = sorted(neighbors, key=repr)
+    for i, x in enumerate(neighbor_list):
+        x_neighbors = graph.neighbors(x)
+        for y in neighbor_list[i + 1 :]:
+            if y not in x_neighbors:
+                yield x, y
 
 
 def local_edge_connectivity(
@@ -65,33 +115,40 @@ def local_node_connectivity(
 ) -> int:
     """Return κ(s, t): the max number of internally node-disjoint paths.
 
-    For adjacent ``s`` and ``t`` the direct edge counts as one path; the
-    vertex-split construction handles that automatically because the
-    ``out(s) → in(t)`` arc bypasses every split node.
+    For adjacent ``s`` and ``t`` the direct edge counts as one path:
+    κ(s, t) = 1 + κ_{G−st}(s, t).
     """
     _require_distinct_nodes(graph, s, t)
-    net = node_disjoint_flow_network(graph.nodes(), graph.edges(), s, t)
-    return int(net.max_flow(("src", s), ("dst", t), cutoff=cutoff))
+    net, adjacent = _pair_network(graph, s, t)
+    if adjacent:
+        return 1 + _node_flow(net, s, t, None if cutoff is None else cutoff - 1)
+    return _node_flow(net, s, t, cutoff)
 
 
 def edge_connectivity(graph: Graph) -> int:
     """Return the global edge connectivity λ(G).
 
     Uses the standard fact that λ(G) = min over t ≠ s of λ(s, t) for any
-    fixed s, so n − 1 max-flow runs suffice.
+    fixed s, so n − 1 max-flow queries on one network suffice.
     """
     n = graph.number_of_nodes()
     if n < 2 or not is_connected(graph):
         return 0
     nodes = graph.nodes()
     source = nodes[0]
+    net = edge_disjoint_flow_network(graph.edges())
     best = graph.min_degree()
     for target in nodes[1:]:
+        best = min(best, int(net.max_flow(source, target, cutoff=best)))
+    return best
+
+
+def _node_connectivity(graph: Graph, net: FlowNetwork) -> int:
+    best = graph.number_of_nodes() - 1
+    for s, t in _even_tarjan_pairs(graph):
+        best = min(best, _node_flow(net, s, t, best))
         if best == 0:
             break
-        best = min(
-            best, local_edge_connectivity(graph, source, target, cutoff=best)
-        )
     return best
 
 
@@ -107,28 +164,8 @@ def node_connectivity(graph: Graph) -> int:
     n = graph.number_of_nodes()
     if n < 2 or not is_connected(graph):
         return 0
-    # Pick a minimum-degree vertex: its degree upper-bounds kappa and
-    # keeps the neighbour-pair probe set small.
-    pivot = min(graph.nodes(), key=graph.degree)
-    best = n - 1
-    neighbors = graph.neighbors(pivot)
-    non_neighbors = [
-        w for w in graph if w != pivot and w not in neighbors
-    ]
-    for w in non_neighbors:
-        best = min(best, local_node_connectivity(graph, pivot, w, cutoff=best))
-        if best == 0:
-            return 0
-    neighbor_list = sorted(neighbors, key=repr)
-    for i, x in enumerate(neighbor_list):
-        x_neighbors = graph.neighbors(x)
-        for y in neighbor_list[i + 1 :]:
-            if y in x_neighbors:
-                continue
-            best = min(best, local_node_connectivity(graph, x, y, cutoff=best))
-            if best == 0:
-                return 0
-    return best
+    net = node_disjoint_flow_network(graph.nodes(), graph.edges())
+    return _node_connectivity(graph, net)
 
 
 def is_k_edge_connected(graph: Graph, k: int) -> bool:
@@ -144,9 +181,9 @@ def is_k_edge_connected(graph: Graph, k: int) -> bool:
         return False
     nodes = graph.nodes()
     source = nodes[0]
+    net = edge_disjoint_flow_network(graph.edges())
     return all(
-        local_edge_connectivity(graph, source, target, cutoff=k) >= k
-        for target in nodes[1:]
+        net.max_flow(source, target, cutoff=k) >= k for target in nodes[1:]
     )
 
 
@@ -166,21 +203,10 @@ def is_k_node_connected(graph: Graph, k: int) -> bool:
         return False
     if not is_connected(graph):
         return False
-    pivot = min(graph.nodes(), key=graph.degree)
-    neighbors = graph.neighbors(pivot)
-    for w in graph:
-        if w != pivot and w not in neighbors:
-            if local_node_connectivity(graph, pivot, w, cutoff=k) < k:
-                return False
-    neighbor_list = sorted(neighbors, key=repr)
-    for i, x in enumerate(neighbor_list):
-        x_neighbors = graph.neighbors(x)
-        for y in neighbor_list[i + 1 :]:
-            if y in x_neighbors:
-                continue
-            if local_node_connectivity(graph, x, y, cutoff=k) < k:
-                return False
-    return True
+    net = node_disjoint_flow_network(graph.nodes(), graph.edges())
+    return all(
+        _node_flow(net, s, t, k) >= k for s, t in _even_tarjan_pairs(graph)
+    )
 
 
 def minimum_edge_cut(graph: Graph) -> Set[Tuple[Node, Node]]:
@@ -196,20 +222,18 @@ def minimum_edge_cut(graph: Graph) -> Set[Tuple[Node, Node]]:
         raise GraphError("minimum edge cut needs at least two nodes")
     if not is_connected(graph):
         raise GraphError("graph is already disconnected")
-    lam = edge_connectivity(graph)
     nodes = graph.nodes()
     source = nodes[0]
-    for target in nodes[1:]:
-        net = edge_disjoint_flow_network(graph.edges())
-        flow = net.max_flow(source, target)
-        if int(flow) == lam:
-            reachable = net.min_cut_reachable(source)
-            return {
-                (u, v)
-                for u, v in graph.iter_edges()
-                if (u in reachable) != (v in reachable)
-            }
-    raise GraphError("internal error: no pair realised the edge connectivity")
+    net = edge_disjoint_flow_network(graph.edges())
+    # the first target realising λ(G); re-run its flow to read the cut
+    target = min(nodes[1:], key=lambda t: net.max_flow(source, t))
+    net.max_flow(source, target)
+    reachable = net.min_cut_reachable(source)
+    return {
+        (u, v)
+        for u, v in graph.iter_edges()
+        if (u in reachable) != (v in reachable)
+    }
 
 
 def minimum_node_cut(graph: Graph) -> Set[Node]:
@@ -225,7 +249,8 @@ def minimum_node_cut(graph: Graph) -> Set[Node]:
         raise GraphError("minimum node cut needs at least two nodes")
     if not is_connected(graph):
         raise GraphError("graph is already disconnected")
-    kappa = node_connectivity(graph)
+    net = node_disjoint_flow_network(graph.nodes(), graph.edges())
+    kappa = _node_connectivity(graph, net)
     if kappa == n - 1:
         return set()  # complete graph: no separator exists
     for s in graph:
@@ -233,10 +258,8 @@ def minimum_node_cut(graph: Graph) -> Set[Node]:
         for t in graph:
             if t in s_closed:
                 continue
-            net = node_disjoint_flow_network(graph.nodes(), graph.edges(), s, t)
-            flow = net.max_flow(("src", s), ("dst", t))
-            if int(flow) == kappa:
-                reachable = net.min_cut_reachable(("src", s))
+            if _node_flow(net, s, t) == kappa:
+                reachable = net.min_cut_reachable(("out", s))
                 cut = {
                     x
                     for x in graph
@@ -302,23 +325,18 @@ def node_disjoint_paths(graph: Graph, s: Node, t: Node) -> List[List[Node]]:
     """Return a maximum family of internally node-disjoint s–t paths.
 
     The family size equals :func:`local_node_connectivity`; this is the
-    constructive Menger witness the LHG proofs reason about.
+    constructive Menger witness the LHG proofs reason about.  For an
+    adjacent pair the direct path ``[s, t]`` comes first.
     """
     _require_distinct_nodes(graph, s, t)
-    net = node_disjoint_flow_network(graph.nodes(), graph.edges(), s, t)
-    flow = int(net.max_flow(("src", s), ("dst", t)))
-    if flow == 0:
-        return []
-    used = _saturated_arcs(net)
-    raw = _decompose_unit_flow(used, ("src", s), ("dst", t))
-    paths: List[List[Node]] = []
+    net, adjacent = _pair_network(graph, s, t)
+    paths: List[List[Node]] = [[s, t]] if adjacent else []
+    if _node_flow(net, s, t) == 0:
+        return paths
+    raw = _decompose_unit_flow(_saturated_arcs(net), ("out", s), ("in", t))
     for split_path in raw:
-        path: List[Node] = []
-        for kind, label in split_path:
-            # Keep one copy of each split node: "src"/"dst"/"out" halves.
-            if kind in ("src", "dst", "out"):
-                path.append(label)
-        paths.append(path)
+        # keep one copy of each split node: its "out" half, then t itself
+        paths.append([label for kind, label in split_path if kind == "out"] + [t])
     return paths
 
 

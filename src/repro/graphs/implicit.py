@@ -38,16 +38,14 @@ from __future__ import annotations
 from typing import Hashable, Iterator, List, Tuple
 
 from repro.errors import NodeNotFoundError
-from repro.core.jenkins_demers import RULE_NAME, JDPlan, jd_feasibility
+from repro.core.jenkins_demers import (
+    RULE_NAME,
+    JDPlan,
+    _leaf_parent,
+    jd_feasibility,
+)
 
 Node = Hashable
-
-
-def _leaf_parent(j: int, k: int) -> int:
-    """Interior id the structural leaf slot ``j`` hangs off."""
-    if j < k:
-        return 0
-    return (j - k) // (k - 1) + 1
 
 
 def _leaf_slot_range(i: int, k: int) -> Tuple[int, int]:

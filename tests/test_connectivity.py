@@ -87,6 +87,14 @@ class TestGlobalConnectivity:
         assert edge_connectivity(two_triangles_bridge) == 1
         assert node_connectivity(two_triangles_bridge) == 1
 
+    def test_long_cycle_deep_level_graphs(self):
+        # augmenting paths run ~1200 split nodes deep: the blocking-flow
+        # search must not recurse per step
+        g = cycle_graph(1200)
+        assert node_connectivity(g) == 2
+        assert edge_connectivity(g) == 2
+        assert is_k_node_connected(g, 2)
+
 
 class TestKPredicates:
     def test_thresholds_on_cycle(self):

@@ -36,6 +36,12 @@ class TestPositiveCases:
         # at small n the linear diameter still fits the log budget
         assert is_lhg(harary_graph(4, 12), 4)
 
+    def test_deep_k2_construction(self):
+        # k=2 grows a long ring whose level graphs are hundreds of nodes
+        # deep; the exact flow checks must not hit the recursion limit
+        graph, _ = build_lhg(600, 2)
+        assert check_lhg(graph, 2).is_lhg
+
 
 class TestNegativeCases:
     def test_path_fails_connectivity(self):

@@ -133,13 +133,14 @@ class TestMengerNetworks:
         assert net.max_flow(0, 2) == 2
 
     def test_node_disjoint_network_counts_paths(self):
-        # K4: kappa(s,t)=3 between any pair.
+        # K4: kappa(s,t)=3 between any pair.  0 and 3 are adjacent, so the
+        # network is built on K4 - {0,3} and the edge adds the third path.
         nodes = [0, 1, 2, 3]
-        edges = [(i, j) for i in nodes for j in nodes if i < j]
-        net = node_disjoint_flow_network(nodes, edges, 0, 3)
-        assert net.max_flow(("src", 0), ("dst", 3)) == 3
+        edges = [(i, j) for i in nodes for j in nodes if i < j and (i, j) != (0, 3)]
+        net = node_disjoint_flow_network(nodes, edges)
+        assert 1 + net.max_flow(("out", 0), ("in", 3)) == 3
 
     def test_node_split_counts_adjacent_pair(self):
         # Path 0-1-2: only one internally disjoint path from 0 to 2.
-        net = node_disjoint_flow_network([0, 1, 2], [(0, 1), (1, 2)], 0, 2)
-        assert net.max_flow(("src", 0), ("dst", 2)) == 1
+        net = node_disjoint_flow_network([0, 1, 2], [(0, 1), (1, 2)])
+        assert net.max_flow(("out", 0), ("in", 2)) == 1

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import math
+from itertools import combinations
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -14,11 +15,17 @@ from repro.core.jenkins_demers import (
 from repro.core.kdiamond import kdiamond_graph, kdiamond_plan
 from repro.core.ktree import ktree_graph, ktree_plan
 from repro.core.properties import theoretical_diameter_bound
+from repro.core.tree_schema import grown_schema
 from repro.graphs.connectivity import (
+    edge_connectivity,
     is_k_edge_connected,
     is_k_node_connected,
     local_edge_connectivity,
     local_node_connectivity,
+    minimum_edge_cut,
+    minimum_node_cut,
+    node_connectivity,
+    node_disjoint_paths,
 )
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators.harary import harary_graph, harary_minimum_edges
@@ -29,7 +36,13 @@ from repro.graphs.io import from_json, to_json
 from repro.graphs.minimality import has_degree_witness_minimality
 from repro.graphs.oracle import materialize
 from repro.graphs.properties import is_k_regular
-from repro.graphs.traversal import bfs_levels, diameter, is_connected
+from repro.graphs.traversal import (
+    bfs_levels,
+    diameter,
+    is_connected,
+    is_simple_path,
+    paths_internally_disjoint,
+)
 
 # Compact strategies: pairs stay small because connectivity checks are
 # max-flow-heavy; the point is breadth of (n, k) shapes, not graph size.
@@ -39,6 +52,59 @@ pair = ks.flatmap(
 )
 
 slow = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def _brute_separator(g, s, t):
+    """Fewest nodes (other than s, t) whose removal cuts every s-t path."""
+    others = [x for x in g.nodes() if x not in (s, t)]
+    for size in range(len(others) + 1):
+        for removed in combinations(others, size):
+            if t not in bfs_levels(g.without_nodes(removed), s):
+                return size
+    return None  # s and t adjacent: no node set separates them
+
+
+def _brute_kappa(g):
+    """κ(G) by enumerating vertex subsets; n − 1 when none disconnects."""
+    nodes = g.nodes()
+    n = len(nodes)
+    for size in range(n - 1):
+        for removed in combinations(nodes, size):
+            if not is_connected(g.without_nodes(removed)):
+                return size
+    return max(n - 1, 0)
+
+
+def _crossing(g, side):
+    return sum(1 for u, v in g.iter_edges() if (u in side) != (v in side))
+
+
+def _brute_lambda(g):
+    """λ(G) as the lightest bipartition of the node set."""
+    first, *rest = g.nodes()
+    best = None
+    for size in range(len(rest)):
+        for chosen in combinations(rest, size):
+            cost = _crossing(g, {first, *chosen})
+            best = cost if best is None else min(best, cost)
+    return 0 if best is None else best
+
+
+def _brute_local_lambda(g, s, t):
+    rest = [x for x in g.nodes() if x not in (s, t)]
+    return min(
+        _crossing(g, {s, *chosen})
+        for size in range(len(rest) + 1)
+        for chosen in combinations(rest, size)
+    )
+
+
+small_graphs = st.builds(
+    gnp_random_graph,
+    st.integers(2, 9),
+    st.floats(0.2, 0.9),
+    seed=st.integers(0, 10**6),
+)
 
 
 class TestGraphStructure:
@@ -100,6 +166,43 @@ class TestConnectivityAlgorithms:
         if is_k_edge_connected(g, 2):
             for e in g.edges():
                 assert is_connected(g.without_edges([e]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs)
+    def test_flow_answers_match_brute_force(self, g):
+        # one compiled network answers every pair of a sweep, so a residual
+        # left over from the previous query would show up here
+        n = g.number_of_nodes()
+        kappa = _brute_kappa(g)
+        lam = _brute_lambda(g)
+        assert node_connectivity(g) == kappa
+        assert edge_connectivity(g) == lam
+        for k in range(1, 5):
+            assert is_k_node_connected(g, k) == (n > k and kappa >= k)
+            assert is_k_edge_connected(g, k) == (lam >= k)
+        for s, t in combinations(g.nodes(), 2):
+            if g.has_edge(s, t):
+                # Menger: the edge st plus the disjoint paths of G - st
+                expected = 1 + _brute_separator(g.without_edges([(s, t)]), s, t)
+            else:
+                expected = _brute_separator(g, s, t)
+                assert local_edge_connectivity(g, s, t) == _brute_local_lambda(g, s, t)
+            assert local_node_connectivity(g, s, t) == expected
+            paths = node_disjoint_paths(g, s, t)
+            assert len(paths) == expected
+            assert paths_internally_disjoint(paths)
+            assert all(p[0] == s and p[-1] == t and is_simple_path(g, p) for p in paths)
+        if not is_connected(g):
+            return
+        node_cut = minimum_node_cut(g)
+        if kappa == n - 1:
+            assert node_cut == set()  # complete graph: no separator
+        else:
+            assert len(node_cut) == kappa
+            assert not is_connected(g.without_nodes(node_cut))
+        edge_cut = minimum_edge_cut(g)
+        assert len(edge_cut) == lam
+        assert not is_connected(g.without_edges(edge_cut))
 
 
 class TestConstructionInvariants:
@@ -198,6 +301,27 @@ class TestExistenceFunctions:
     def test_jd_subset_of_ktree(self, k, n):
         if is_jd_constructible(n, k):
             assert exists(n, k, "k-tree")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 8), st.integers(3, 20_000))
+    def test_closed_form_plan_matches_schema_count(self, k, n):
+        # jd_feasibility counts eligible hosts by arithmetic; the grown
+        # schema is the ground truth for which plan (if any) exists
+        if n <= k:
+            return
+        expected = None
+        step = 2 * (k - 1)
+        for alpha in range((n - 2 * k) // step, -1, -1) if n >= 2 * k else ():
+            pairs, odd = divmod(n - (2 * k + alpha * step), 2)
+            if odd or pairs > k:
+                continue
+            hosts = grown_schema(k, alpha).interiors_above_leaves(include_root=False)
+            if pairs <= len(hosts):
+                expected = (alpha, pairs)
+                break
+        plan = jd_feasibility(n, k)
+        found = None if plan is None else (plan.conversions, plan.extra_pairs)
+        assert found == expected
 
 
 class TestHarary:
