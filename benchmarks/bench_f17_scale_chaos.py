@@ -14,10 +14,11 @@ oracle, and for each one:
    surviving source;
 2. the survivor component — a lazy
    :class:`~repro.graphs.faultview.FaultView`, never materialised —
-   must recertify conclusively clean under
-   :func:`~repro.robustness.invariants.recertify_survivors`
-   (BFS connectivity witness, damage-frontier degree floors, sampled
-   local-cut Dinic witnesses);
+   must recertify clean under
+   :func:`~repro.robustness.invariants.recertify_survivors`, which
+   proves κ, λ ≥ k − damage from the oracle's conclusive pristine
+   P1/P2 certificate by damage arithmetic (one failure lowers κ by at
+   most one), in O(1) per plan;
 3. the flood's survivor arithmetic must agree with the view's
    (``alive`` = n − crashes, ``reachable`` = component size).
 

@@ -15,7 +15,8 @@ plan costs O(k) to derive.
 weak spot — shallowest / median / deepest structural leaf, an added
 (paired) leaf when the plan has extra pairs, the root copies, plus
 single-failure probes that leave residual connectivity ≥ 2 (the
-regime the local cut recertification must certify).  Every plan stays
+regime where recertification must prove κ ≥ 2, not just
+connectedness).  Every plan stays
 within the k−1 budget the paper tolerates, so a correct construction
 must keep the survivor component connected and fully floodable under
 every one of them; :mod:`bench_f17_scale_chaos` proves exactly that at

@@ -30,13 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, List, Optional, Set
 
+import repro.obs as obs
 from repro.core.properties import check_lhg
 from repro.flooding.failures import FailureSchedule
 from repro.flooding.metrics import FloodResult
 from repro.flooding.network import Network, Protocol
 from repro.flooding.simulator import Simulator
 from repro.flooding.trace import TraceCollector
-from repro.graphs.connectivity import local_node_connectivity, node_connectivity
+from repro.graphs.connectivity import node_connectivity
 from repro.graphs.faultview import FaultView, component_size
 from repro.graphs.graph import Graph
 from repro.graphs.oracle import NeighborOracle, materialize
@@ -153,11 +154,23 @@ _PROPERTY_VIOLATIONS = {
 
 
 def _certificate_violations(proofs, n: int, k: int) -> List[InvariantViolation]:
-    """Map a :class:`StructuralProofs` verdict onto violation records."""
+    """Map a :class:`StructuralProofs` verdict onto violation records.
+
+    A certificate for another (n, k) decides nothing here: each of its
+    witnesses surfaces as inconclusive.
+    """
     violations = []
     for witness in proofs.witnesses:
         name, detail = _PROPERTY_VIOLATIONS[witness.property_id]
-        if not witness.conclusive:
+        if (proofs.n, proofs.k) != (n, k):
+            violations.append(
+                InvariantViolation(
+                    name,
+                    f"structural certificate inconclusive at n={n}: it is "
+                    f"for n={proofs.n}, k={proofs.k}, not k={k}",
+                )
+            )
+        elif not witness.conclusive:
             violations.append(
                 InvariantViolation(
                     name,
@@ -253,9 +266,24 @@ def check_topology_invariants(
 # Survivor recertification (FaultView topologies)
 # ----------------------------------------------------------------------
 
-_LOCAL_SAMPLE = 12
-_LOCAL_RADII = (3, 5)
-_FAR_SINK = ("__far-sink__",)
+
+def _certified_connectivity(base: NeighborOracle) -> int:
+    """The node connectivity ``base``'s own structural proofs guarantee.
+
+    Only a certificate for this very base (same n) whose P1 *and* P2
+    witnesses are both conclusive and holding counts; a missing,
+    inconclusive or failing certificate proves nothing and yields 0.
+    A :class:`FaultView` base never counts: it does not forward
+    ``structural_proofs``, and its own damage is not the caller's.
+    """
+    prove = getattr(base, "structural_proofs", None)
+    if prove is None:
+        return 0
+    proofs = prove()
+    proved = {w.property_id for w in proofs.witnesses if w.conclusive and w.holds}
+    if {"P1", "P2"} <= proved and proofs.n == base.num_nodes():
+        return proofs.k
+    return 0
 
 
 def recertify_survivors(
@@ -263,46 +291,72 @@ def recertify_survivors(
 ) -> List[InvariantViolation]:
     """Re-certify a damaged topology from its :class:`FaultView`.
 
-    A structural certificate proves properties of the *pristine*
-    construction; once nodes or links have failed it says nothing, so
-    the survivor component earns its own battery — every check either
-    proves its claim or reports itself inconclusive, never a silent
-    wrong verdict:
+    Deleting one vertex or one link lowers node and link connectivity
+    by at most one, so a k-connected base keeps κ, λ ≥ k − damage on
+    its survivors, where damage counts down nodes plus killed links.
+    The first rule that applies decides, and each emits one
+    ``recertify.<rule>`` counter:
 
-    1. **survivor-connectivity** (exact at any scale): a BFS sweep of
-       the view.  Removing d < k vertices/links from a k-connected
-       graph cannot disconnect it, so an unreachable survivor under
-       damage < k is a violation; with damage ≥ k a partition is a
-       legitimate outcome, not a harness bug.
-    2. **survivor-degree** (exact): every node on the damage frontier
-       must keep degree ≥ k − damage — Whitney's bound localised to
-       the only nodes whose neighbourhoods changed.
-    3. **cut recheck** (when k − damage ≥ 2): below ``exact_limit``
-       survivors the view is materialised and exact Dinic
-       ``node_connectivity`` must reach k − damage.  Above it, each
-       sampled damage-frontier node must exhibit k − damage
-       vertex-disjoint paths out of its radius-bounded ball (disjoint
-       paths in an induced subgraph are disjoint in the full view, so
-       success is a conclusive lower-bound witness); a node with no
-       witness at the largest radius reports **survivor-local-cut**
-       as *inconclusive* rather than claiming soundness.
+    1. **pristine** (damage 0): delegates to
+       :func:`check_topology_invariants` on the base, which certifies
+       or checks it exactly (counted as ``certificate`` or ``exact``).
+    2. **unclaimed** (damage ≥ k): the paper claims nothing — a
+       partition is a legitimate outcome — so nothing is checked.
+    3. **certificate**: the base's own :meth:`structural_proofs` has
+       conclusive, holding P1 and P2 witnesses for some k' ≥ k, so the
+       survivors are (k − damage)-connected by the arithmetic above.
+       O(1): no BFS, no frontier scan, no flow.
+    4. **exact** (no usable certificate): a BFS sweep must reach every
+       survivor (**survivor-connectivity**); every node beside the
+       damage must keep degree ≥ k − damage (**survivor-degree**); and
+       when k − damage ≥ 2, up to ``exact_limit`` survivors the view
+       is materialised and exact Dinic κ must reach k − damage.  Above
+       ``exact_limit`` that last claim is reported as one
+       **survivor-cut-inconclusive** violation (counted as
+       ``inconclusive``) — unproven, never passed.
 
-    An undamaged view delegates to :func:`check_topology_invariants`
-    on its base (pristine certificates apply again).
+    Returns the violations — an empty list means every claim was
+    proved.
     """
-    if view.damage == 0:
-        return check_topology_invariants(view.base, k, exact_limit=exact_limit)
+    damage = view.damage
+    if damage == 0:
+        base = view.base
+        pristine_by_proofs = base.num_nodes() > exact_limit and hasattr(
+            base, "structural_proofs"
+        )
+        obs.counter(
+            "recertify.certificate" if pristine_by_proofs else "recertify.exact"
+        )
+        return check_topology_invariants(base, k, exact_limit=exact_limit)
+    residual = k - damage
+    if residual <= 0:
+        obs.counter("recertify.unclaimed")
+        return []
+    if _certified_connectivity(view.base) >= k:
+        obs.counter("recertify.certificate")
+        return []
+    violations = _exact_recheck(view, k, exact_limit)
+    inconclusive = any(
+        v.invariant == "survivor-cut-inconclusive" for v in violations
+    )
+    obs.counter("recertify.inconclusive" if inconclusive else "recertify.exact")
+    return violations
+
+
+def _exact_recheck(
+    view: FaultView, k: int, exact_limit: int
+) -> List[InvariantViolation]:
+    """Rule 4 of :func:`recertify_survivors`: claims checked, not assumed."""
     n_alive = view.num_nodes()
     if n_alive <= 1:
         return []
     damage = view.damage
     residual = k - damage
     violations: List[InvariantViolation] = []
-
     source = next(iter(view.iter_nodes()))
     reached = component_size(view, source)
     connected = reached == n_alive
-    if not connected and damage < k:
+    if not connected:
         violations.append(
             InvariantViolation(
                 "survivor-connectivity",
@@ -310,20 +364,16 @@ def recertify_survivors(
                 f"after only {damage} failure(s) < k={k}",
             )
         )
-
-    frontier = view.damage_frontier()
-    floor = max(0, residual)
-    for node in frontier:
+    for node in view.damage_frontier():
         degree = view.degree(node)
-        if degree < floor:
+        if degree < residual:
             violations.append(
                 InvariantViolation(
                     "survivor-degree",
                     f"node {node!r} kept degree {degree} < "
-                    f"k−damage={floor} beside the damage",
+                    f"k−damage={residual} beside the damage",
                 )
             )
-
     if connected and residual >= 2:
         if n_alive <= exact_limit:
             kappa = node_connectivity(materialize(view))
@@ -337,80 +387,16 @@ def recertify_survivors(
                     )
                 )
         else:
-            violations.extend(_local_cut_recheck(view, residual, frontier))
-    return violations
-
-
-def _local_cut_recheck(
-    view: FaultView, residual: int, frontier: List[NodeId]
-) -> List[InvariantViolation]:
-    """Bounded Dinic witnesses around the damage (see docstring above)."""
-    if not frontier:
-        return []
-    step = max(1, len(frontier) // _LOCAL_SAMPLE)
-    sampled = frontier[::step][:_LOCAL_SAMPLE]
-    violations = []
-    for node in sampled:
-        if any(
-            _local_cut_witness(view, node, residual, radius)
-            for radius in _LOCAL_RADII
-        ):
-            continue
-        violations.append(
-            InvariantViolation(
-                "survivor-local-cut",
-                f"no conclusive {residual}-disjoint-path witness for "
-                f"{node!r} within radius {_LOCAL_RADII[-1]} of the damage "
-                f"— inconclusive, not certified",
+            violations.append(
+                InvariantViolation(
+                    "survivor-cut-inconclusive",
+                    f"κ ≥ k−damage={residual} unproven for {n_alive} "
+                    f"survivors: no conclusive base certificate and more "
+                    f"than exact_limit={exact_limit} nodes — inconclusive, "
+                    f"not certified",
+                )
             )
-        )
     return violations
-
-
-def _local_cut_witness(
-    view: FaultView, source: NodeId, residual: int, radius: int
-) -> bool:
-    """True iff ``source`` provably keeps ``residual`` disjoint paths.
-
-    Builds the induced radius-ball around ``source`` on the view and
-    asks Dinic for ``residual`` vertex-disjoint paths from ``source``
-    to a virtual sink behind the ball boundary.  Disjoint paths in an
-    induced subgraph are disjoint in the full view, so ``True`` is
-    conclusive; ``False`` only means "not witnessed at this radius".
-    When the whole component fits inside the ball the check is exact
-    instead.
-    """
-    levels = {source: 0}
-    ring = [source]
-    depth = 0
-    while ring and depth < radius:
-        depth += 1
-        next_ring = []
-        for v in ring:
-            for w in view.neighbors(v):
-                if w not in levels:
-                    levels[w] = depth
-                    next_ring.append(w)
-        ring = next_ring
-    ball = Graph()
-    for v in levels:
-        ball.add_node(v)
-        for w in view.neighbors(v):
-            if w in levels and not ball.has_edge(v, w):
-                ball.add_edge(v, w)
-    boundary = [v for v, d in levels.items() if d == radius]
-    if not boundary:
-        # the component fits entirely in the ball: exact connectivity
-        target = min(residual, len(levels) - 1)
-        if target <= 0:
-            return True
-        return node_connectivity(ball) >= target
-    for v in boundary:
-        ball.add_edge(v, _FAR_SINK)
-    return (
-        local_node_connectivity(ball, source, _FAR_SINK, cutoff=residual)
-        >= residual
-    )
 
 
 _ALWAYS = (

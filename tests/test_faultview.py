@@ -9,7 +9,9 @@ Three equivalences are pinned here:
   event-driven simulator's ``FloodResult`` field for field on the same
   schedule;
 * every targeted k−1 attack derived from the JD arithmetic leaves a
-  survivor component the recertification battery certifies clean.
+  survivor component the recertifier passes on the pristine
+  certificate alone, while a missing, forged or unusable certificate
+  falls through to the exact or explicitly inconclusive rules.
 
 Plus the laziness regression: ``survivors()`` on an oracle input must
 never materialise a dict Graph.
@@ -17,6 +19,8 @@ never materialise a dict Graph.
 
 import pytest
 
+from repro import obs
+from repro.core.certificates import PropertyWitness, StructuralProofs
 from repro.core.jenkins_demers import jd_feasibility
 from repro.errors import GraphError, NodeNotFoundError, SimulationError
 from repro.flooding.experiments import run_flood
@@ -403,6 +407,68 @@ class TestTargetedAttacks:
             assert flood.covered == view.num_nodes(), plan.name
 
 
+def _forbidden(*args, **kwargs):
+    raise AssertionError("this recertification rule must not walk the view")
+
+
+def _recertify_counted(view, k, **kwargs):
+    """``recertify_survivors`` under a collector: (violations, counters)."""
+    collector = obs.install()
+    try:
+        violations = recertify_survivors(view, k, **kwargs)
+    finally:
+        obs.uninstall()
+    return violations, collector.metrics.counters
+
+
+def _two_jd_halves():
+    """Two JD(400, 3) copies joined by the links (0, 400) and (1, 401), as CSR.
+
+    Each half is 3-connected, but the pair is only 2-connected: killing
+    one joining link leaves κ = 1 < k − damage = 2.  CSR carries no
+    structural certificate, so nothing may vouch for the survivors.
+    """
+    half = ImplicitJDOracle(400, 3)
+    graph = Graph()
+    for v in half.iter_nodes():
+        for w in half.neighbors(v):
+            graph.add_edge(v, w)
+            graph.add_edge(v + 400, w + 400)
+    graph.add_edge(0, 400)
+    graph.add_edge(1, 401)
+    return CSRGraph.from_oracle(graph)
+
+
+class _Certified:
+    """A dict graph wearing a hand-made structural certificate.
+
+    Every ``structural_proofs`` field can be forged, so the tests can
+    show which certificates the recertifier trusts and which it must
+    not.
+    """
+
+    def __init__(self, graph, k, p1=(True, True), p2=(True, True), n=None):
+        self.graph = graph
+        self.k = k
+        self.verdicts = {"P1": p1, "P2": p2}
+        self.n = graph.num_nodes() if n is None else n
+
+    def __getattr__(self, name):
+        return getattr(self.graph, name)
+
+    def structural_proofs(self):
+        witnesses = tuple(
+            PropertyWitness(pid, holds=holds, conclusive=conclusive, argument="forged")
+            for pid, (conclusive, holds) in self.verdicts.items()
+        )
+        return StructuralProofs(n=self.n, k=self.k, rule="forged", witnesses=witnesses)
+
+
+def _ring():
+    """A ring of 12 nodes: κ = 2, so one crash leaves a path with κ = 1."""
+    return Graph(edges=[(i, (i + 1) % 12) for i in range(12)])
+
+
 class TestRecertification:
     @pytest.mark.parametrize("n,k", SPOT)
     def test_attacked_survivors_certify_clean(self, n, k):
@@ -411,12 +477,14 @@ class TestRecertification:
             view = survivors(oracle, plan.schedule())
             assert recertify_survivors(view, k) == [], plan.name
 
-    def test_large_n_uses_local_witnesses(self):
+    def test_large_n_certifies_by_certificate(self):
         oracle = ImplicitJDOracle(3000, 3)
         plan = targeted_cut_attacks(oracle)[0]
         view = survivors(oracle, plan.schedule())
-        # exact_limit below n forces the sampled local-cut battery
-        assert recertify_survivors(view, 3, exact_limit=64) == []
+        # exact_limit far below n: only the pristine certificate can pass
+        violations, rules = _recertify_counted(view, 3, exact_limit=64)
+        assert violations == []
+        assert rules == {"recertify.certificate": 1}
 
     def test_detects_underbudget_disconnection(self):
         path = Graph(edges=[(0, 1), (1, 2)])
@@ -424,11 +492,15 @@ class TestRecertification:
         violations = recertify_survivors(view, 2)
         assert any(v.invariant == "survivor-connectivity" for v in violations)
 
-    def test_tolerates_at_budget_disconnection(self):
+    def test_tolerates_at_budget_disconnection(self, monkeypatch):
+        import repro.robustness.invariants as invariants
+
+        monkeypatch.setattr(invariants, "component_size", _forbidden)
         cycle = Graph(edges=[(0, 1), (1, 2), (2, 3), (3, 0)])
         view = FaultView(cycle, down_nodes=[1], killed_links=[(3, 0)])
-        # damage == k: a partition is a legitimate outcome, not a bug
-        assert recertify_survivors(view, 2) == []
+        # damage == k: a partition is a legitimate outcome, not a bug,
+        # and nothing is claimed, so nothing is walked
+        assert _recertify_counted(view, 2) == ([], {"recertify.unclaimed": 1})
 
     def test_undamaged_view_delegates_to_base(self):
         oracle = ImplicitJDOracle(22, 3)
@@ -444,3 +516,97 @@ class TestRecertification:
         view = FaultView(star, killed_links=[("hub", 0)])
         violations = recertify_survivors(view, 2)
         assert any(v.invariant == "survivor-degree" for v in violations)
+
+
+class TestCertificateRule:
+    """Which rule decides, and that only a sound certificate passes."""
+
+    def test_two_jd_halves_link_kill_is_inconclusive(self):
+        view = FaultView(_two_jd_halves(), killed_links=[(0, 400)])
+        assert view.num_nodes() == 800 and view.damage == 1
+        violations, rules = _recertify_counted(view, 3)
+        assert [v.invariant for v in violations] == ["survivor-cut-inconclusive"]
+        assert rules == {"recertify.inconclusive": 1}
+
+    def test_two_jd_halves_exact_below_limit(self):
+        view = FaultView(_two_jd_halves(), killed_links=[(0, 400)])
+        violations, rules = _recertify_counted(view, 3, exact_limit=800)
+        assert [v.invariant for v in violations] == ["survivor-connectivity"]
+        assert "κ=1" in violations[0].detail
+        assert rules == {"recertify.exact": 1}
+
+    def test_forged_sound_certificate_is_trusted(self):
+        # control: a conclusive, holding certificate is believed without
+        # looking — which is why the forgeries below must be refused
+        view = FaultView(_Certified(_ring(), 3), down_nodes=[0])
+        assert _recertify_counted(view, 3) == ([], {"recertify.certificate": 1})
+
+    @pytest.mark.parametrize(
+        "forgery",
+        [
+            {"p1": (False, True)},
+            {"p1": (False, False)},
+            {"p2": (True, False)},
+            {"p2": (False, True)},
+            {"k": 2},
+            {"n": 13},
+        ],
+        ids=["P1-inconclusive", "P1-unknown", "P2-failing", "P2-inconclusive",
+             "k-too-small", "other-n"],
+    )
+    def test_unusable_certificate_falls_through(self, forgery):
+        k = forgery.pop("k", 3)
+        base = _Certified(_ring(), k, **forgery)
+        view = FaultView(base, down_nodes=[0])
+        # exact: the ring minus a node is a path, κ = 1 < k − damage = 2
+        violations, rules = _recertify_counted(view, 3)
+        assert "survivor-connectivity" in [v.invariant for v in violations]
+        assert rules == {"recertify.exact": 1}
+        # above exact_limit: explicitly inconclusive, never a pass
+        violations, rules = _recertify_counted(view, 3, exact_limit=4)
+        assert "survivor-cut-inconclusive" in [v.invariant for v in violations]
+        assert rules == {"recertify.inconclusive": 1}
+
+    def test_nested_view_base_has_no_certificate(self):
+        oracle = ImplicitJDOracle(30, 3)
+        leaf = 3 * oracle._m
+        parents = oracle.neighbors(leaf)
+        # the inner view strands the leaf on one link; the outer view's
+        # own damage (one far link) must not borrow the JD certificate
+        inner = FaultView(oracle, down_nodes=parents[:2])
+        far = next(
+            (u, w)
+            for u in inner.iter_nodes()
+            for w in inner.neighbors(u)
+            if leaf not in (u, w) and parents[2] not in (u, w)
+        )
+        view = FaultView(inner, killed_links=[far])
+        assert view.damage == 1 and inner.degree(leaf) == 1
+        violations, rules = _recertify_counted(view, 3)
+        assert "survivor-connectivity" in [v.invariant for v in violations]
+        assert rules == {"recertify.exact": 1}
+        violations, rules = _recertify_counted(view, 3, exact_limit=8)
+        assert "survivor-cut-inconclusive" in [v.invariant for v in violations]
+
+    def test_certificate_path_skips_bfs_and_frontier(self, monkeypatch):
+        import repro.robustness.invariants as invariants
+
+        monkeypatch.setattr(invariants, "component_size", _forbidden)
+        monkeypatch.setattr(FaultView, "damage_frontier", _forbidden)
+        oracle = ImplicitJDOracle(3000, 3)
+        for plan in targeted_cut_attacks(oracle):
+            assert recertify_survivors(survivors(oracle, plan.schedule()), 3) == []
+
+    def test_counters_are_passive(self):
+        oracle = ImplicitJDOracle(3000, 3)
+        views = [survivors(oracle, plan.schedule()) for plan in targeted_cut_attacks(oracle)]
+        views += [
+            FaultView(_two_jd_halves(), killed_links=[(0, 400)]),
+            FaultView(Graph(edges=[(0, 1), (1, 2)]), down_nodes=[1]),
+            FaultView(Graph(edges=[(0, 1), (1, 2)]), down_nodes=[0, 1]),
+            FaultView(ImplicitJDOracle(22, 3)),
+        ]
+        quiet = [recertify_survivors(view, 3) for view in views]
+        counted = [_recertify_counted(view, 3) for view in views]
+        assert [violations for violations, _ in counted] == quiet
+        assert all(sum(rules.values()) == 1 for _, rules in counted)

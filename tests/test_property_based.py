@@ -511,3 +511,60 @@ class TestRoundFloodMatchesEventFlood:
             event.alive,
             event.reachable,
         ), schedule
+
+
+class TestRecertificationSoundness:
+    """The damage-arithmetic certificate rule against exact κ.
+
+    Whenever :func:`recertify_survivors` passes a damaged JD oracle on
+    the strength of the pristine certificate, the survivors must really
+    keep κ ≥ k − damage (capped by n_alive − 1), checked by Dinic on the
+    materialised view.
+    """
+
+    PAIRS = [
+        (n, k)
+        for k in range(2, 6)
+        for n in range(2 * k, 201)
+        if jd_feasibility(n, k) is not None
+    ]
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(PAIRS), st.data())
+    def test_certified_survivors_keep_k_minus_damage(self, nk, data):
+        from repro import obs
+        from repro.flooding.failures import survivors
+        from repro.graphs.faultview import FaultView
+        from repro.robustness.attacks import targeted_cut_attacks
+        from repro.robustness.invariants import recertify_survivors
+
+        n, k = nk
+        oracle = ImplicitJDOracle(n, k)
+        views = [
+            survivors(oracle, plan.schedule()) for plan in targeted_cut_attacks(oracle)
+        ]
+        budget = data.draw(st.integers(1, k - 1), label="damage")
+        crashes = data.draw(
+            st.lists(st.integers(0, n - 1), max_size=budget, unique=True),
+            label="crashes",
+        )
+        kills = []
+        for _ in range(budget - len(crashes)):
+            u = data.draw(st.integers(0, n - 1), label="link end")
+            kills.append((u, data.draw(st.sampled_from(oracle.neighbors(u)))))
+        views.append(FaultView(oracle, crashes, kills))
+        for view in views:
+            assert 0 < view.damage < k
+            collector = obs.install()
+            try:
+                violations = recertify_survivors(view, k)
+            finally:
+                obs.uninstall()
+            # the JD certificate is conclusive here, so it must decide
+            assert collector.metrics.counters == {"recertify.certificate": 1}
+            assert violations == []
+            target = min(k - view.damage, view.num_nodes() - 1)
+            assert node_connectivity(materialize(view)) >= target, (
+                view.down_nodes,
+                view.killed_links,
+            )

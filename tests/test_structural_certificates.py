@@ -194,6 +194,18 @@ class TestTopologyInvariants:
         assert violations[0].invariant == "P3-link-minimality"
         assert "inconclusive" in violations[0].detail
 
+    def test_certificate_for_another_k_is_inconclusive(self):
+        # a k=3 certificate proves κ ≥ 3, nothing about k=5
+        oracle = ImplicitJDOracle(1000, 3)
+        violations = check_topology_invariants(oracle, 5)
+        assert [v.invariant for v in violations] == [
+            "P1-node-connectivity",
+            "P2-link-connectivity",
+            "P3-link-minimality",
+            "P4-log-diameter",
+        ]
+        assert all("inconclusive" in v.detail for v in violations)
+
     def test_oracle_materialised_for_exact_path(self):
         oracle = ImplicitJDOracle(10, 3)
         assert check_topology_invariants(oracle, 3) == []
