@@ -21,10 +21,22 @@ CSR-compiled graph answers ``neighbors(("L", 4))`` exactly like the
 dict-of-sets original — int node ids survive compilation with their
 dtype intact (they are stored, not stringified).
 
-Build one with :meth:`CSRGraph.from_oracle`, a one-shot compiler from
-any :class:`~repro.graphs.oracle.NeighborOracle` (including a plain
-:class:`~repro.graphs.graph.Graph`).  The structure is read-only by
-design: mutate a ``Graph``, then re-compile.
+Build one with :meth:`CSRGraph.from_oracle`, which compiles any
+:class:`~repro.graphs.oracle.NeighborOracle` (including a plain
+:class:`~repro.graphs.graph.Graph`) along one of two paths:
+
+* **arithmetic** — an oracle that knows its buffers in closed form
+  exposes ``csr_arrays()``, and ``from_oracle`` takes them after a shape
+  check.  :meth:`~repro.graphs.implicit.ImplicitJDOracle.csr_arrays`
+  fills the Jenkins–Demers rows by strided slice assignments straight
+  from the plan, in O(k²) Python steps;
+* **generic** — every other oracle is compiled row by row (``degree``,
+  then the sorted ``neighbors`` of each node).  This path is also the
+  parity oracle for the arithmetic one: the two must agree byte for
+  byte.
+
+The structure is read-only by design: mutate a ``Graph``, then
+re-compile.
 """
 
 from __future__ import annotations
@@ -33,6 +45,7 @@ from array import array
 from bisect import bisect_left
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
+import repro.obs as obs
 from repro.errors import GraphError, NodeNotFoundError
 
 Node = Hashable
@@ -46,6 +59,50 @@ def _is_dense_int_labels(order: Sequence[Node]) -> bool:
         if not isinstance(node, int) or node != position:
             return False
     return True
+
+
+def _compile_rows(
+    oracle,
+) -> Tuple[array, array, Optional[List[Node]], Optional[Dict[Node, int]]]:
+    """The generic compile: ``degree`` then sorted ``neighbors``, node by node.
+
+    Returns ``(indptr, indices, labels, ids)``; the label table and its
+    inverse are ``None`` when the nodes are the dense ints themselves.
+    """
+    order = list(oracle.iter_nodes())
+    n = len(order)
+    if _is_dense_int_labels(order):
+        labels: Optional[List[Node]] = None
+        ids: Optional[Dict[Node, int]] = None
+    else:
+        labels = order
+        ids = {node: position for position, node in enumerate(order)}
+        if len(ids) != n:
+            raise GraphError("oracle iter_nodes() yielded a duplicate node")
+
+    indptr = array("q", bytes(8 * (n + 1)))
+    for i, node in enumerate(order):
+        indptr[i + 1] = indptr[i] + oracle.degree(node)
+    indices = array("q", bytes(8 * indptr[n]))
+    for i, node in enumerate(order):
+        if ids is None:
+            row = [int(neighbor) for neighbor in oracle.neighbors(node)]
+        else:
+            try:
+                row = [ids[neighbor] for neighbor in oracle.neighbors(node)]
+            except KeyError as exc:
+                raise GraphError(
+                    f"oracle lists neighbour {exc.args[0]!r} of {node!r} "
+                    f"but never yields it from iter_nodes()"
+                ) from exc
+        row.sort()
+        start = indptr[i]
+        if len(row) != indptr[i + 1] - start:
+            raise GraphError(
+                f"oracle degree({node!r}) disagrees with its neighbour list"
+            )
+        indices[start : start + len(row)] = array("q", row)
+    return indptr, indices, labels, ids
 
 
 class CSRGraph:
@@ -78,57 +135,56 @@ class CSRGraph:
     def from_oracle(cls, oracle, name: str = "") -> "CSRGraph":
         """Compile any :class:`NeighborOracle` into CSR form.
 
-        One pass over ``iter_nodes`` fixes the dense-id assignment (the
-        oracle's stable iteration order), a second fills the rows.  When
-        the oracle's nodes are already the ints ``0 … n − 1`` in order,
-        no label table is kept and labels *are* ids.
+        An oracle that knows its own CSR buffers in closed form — one
+        with a ``csr_arrays()`` method returning ``(indptr, indices)``
+        over its dense ids ``0 … n − 1``, as
+        :class:`~repro.graphs.implicit.ImplicitJDOracle` does — hands
+        them over whole, and only their shape is checked.  Every
+        other oracle takes the generic two-pass compile: one pass over
+        ``iter_nodes`` fixes the dense-id assignment (the oracle's
+        stable iteration order), a second fills the rows.  When the
+        oracle's nodes are already the ints ``0 … n − 1`` in order, no
+        label table is kept and labels *are* ids.
+
+        Opens one ``csr.compile`` span (attributes ``n``, ``nnz`` and
+        ``path``, ``"arithmetic"`` or ``"generic"``) and adds the
+        buffer size to the ``csr.bytes`` counter.
 
         Raises
         ------
         GraphError
             If the oracle reports a neighbour that is not one of its
-            nodes (a broken oracle, not a broken input).
+            nodes, or closed-form buffers of the wrong shape (a broken
+            oracle, not a broken input).
         """
-        order = list(oracle.iter_nodes())
-        n = len(order)
-        if _is_dense_int_labels(order):
-            labels: Optional[List[Node]] = None
-            ids: Optional[Dict[Node, int]] = None
-        else:
-            labels = order
-            ids = {node: position for position, node in enumerate(order)}
-            if len(ids) != n:
-                raise GraphError("oracle iter_nodes() yielded a duplicate node")
-
-        indptr = array("q", bytes(8 * (n + 1)))
-        for i, node in enumerate(order):
-            indptr[i + 1] = indptr[i] + oracle.degree(node)
-        indices = array("q", bytes(8 * indptr[n]))
-        for i, node in enumerate(order):
-            if ids is None:
-                row = [int(neighbor) for neighbor in oracle.neighbors(node)]
+        arithmetic = getattr(oracle, "csr_arrays", None)
+        path = "generic" if arithmetic is None else "arithmetic"
+        with obs.span("csr.compile", path=path) as compile_span:
+            if arithmetic is None:
+                indptr, indices, labels, ids = _compile_rows(oracle)
             else:
-                try:
-                    row = [ids[neighbor] for neighbor in oracle.neighbors(node)]
-                except KeyError as exc:
+                indptr, indices = arithmetic()
+                labels, ids = None, None
+                n = oracle.num_nodes()
+                if not (
+                    len(indptr) == n + 1
+                    and indptr[0] == 0
+                    and indptr[n] == len(indices)
+                ):
                     raise GraphError(
-                        f"oracle lists neighbour {exc.args[0]!r} of {node!r} "
-                        f"but never yields it from iter_nodes()"
-                    ) from exc
-            row.sort()
-            start = indptr[i]
-            if len(row) != indptr[i + 1] - start:
-                raise GraphError(
-                    f"oracle degree({node!r}) disagrees with its neighbour list"
-                )
-            indices[start : start + len(row)] = array("q", row)
-        return cls(
+                        f"oracle csr_arrays() is not a CSR over {n} nodes: "
+                        f"{len(indptr)} row pointers for {len(indices)} indices"
+                    )
+            compile_span.set(n=len(indptr) - 1, nnz=len(indices))
+        graph = cls(
             indptr=indptr,
             indices=indices,
             labels=labels,
             ids=ids,
             name=name or getattr(oracle, "name", ""),
         )
+        obs.counter("csr.bytes", graph.nbytes())
+        return graph
 
     @classmethod
     def from_graph(cls, graph, name: str = "") -> "CSRGraph":

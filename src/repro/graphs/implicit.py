@@ -29,12 +29,22 @@ compilation keeps no label table and flooding runs on flat int arrays.
 :func:`~repro.core.tree_schema.paste_copies` would have used, which is
 how the equivalence tests pin this oracle to the materialised graph.
 
+The same layout fixes the CSR buffers in closed form.
+:meth:`ImplicitJDOracle.csr_arrays` writes them column by column with
+strided ``array('q')`` slice assignments — the parent column steps by
+one every k − 1 rows, a child column switches from interior to leaf ids
+once at slot α, leaf column c is ``c·m + parent`` — and
+:meth:`~repro.graphs.csr.CSRGraph.from_oracle` picks it up in place of
+its generic row-by-row compile, which stays the parity oracle.
+
 Memory: O(1) per instance, O(k) per ``neighbors`` call; the graph
-itself never exists.
+itself never exists until :meth:`~ImplicitJDOracle.csr_arrays` is asked
+for it.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Hashable, Iterator, List, Tuple
 
 from repro.errors import NodeNotFoundError
@@ -46,6 +56,41 @@ from repro.core.jenkins_demers import (
 )
 
 Node = Hashable
+
+
+def _run(first: int, step: int, count: int) -> array:
+    """``first, first + step, …`` (``count`` terms) as an ``array('q')``."""
+    if step == 0:
+        return array("q", (first,)) * count
+    return array("q", range(first, first + step * count, step))
+
+
+def _put(buffer: array, at: int, stride: int, values: array) -> None:
+    """Write ``values`` into ``buffer`` at ``at, at + stride, …``."""
+    buffer[at : at + stride * len(values) : stride] = values
+
+
+def _put_parents(
+    buffer: array,
+    at: int,
+    stride: int,
+    first_slot: int,
+    count: int,
+    k: int,
+    offset: int,
+) -> None:
+    """Write ``offset + leaf_parent(first_slot + r)`` for ``r < count`` into
+    ``buffer`` at ``at, at + stride, …``.
+
+    Slots below k hang off the root; from k on the parent steps by one
+    every k − 1 slots, so each residue class mod k − 1 is one ramp.
+    """
+    rooted = min(count, max(0, k - first_slot))
+    _put(buffer, at, stride, _run(offset, 0, rooted))
+    for r in range(rooted, min(count, rooted + k - 1)):
+        parent = offset + _leaf_parent(first_slot + r, k)
+        terms = (count - r + k - 2) // (k - 1)
+        _put(buffer, at + r * stride, stride * (k - 1), _run(parent, 1, terms))
 
 
 def _leaf_slot_range(i: int, k: int) -> Tuple[int, int]:
@@ -280,6 +325,101 @@ class ImplicitJDOracle:
             if 0 <= extra < 2 * self._pairs:
                 return self._leaf_base() + self._live + extra
         raise NodeNotFoundError(label)
+
+    # ------------------------------------------------------------------
+    # CSR buffers in closed form
+    # ------------------------------------------------------------------
+
+    def csr_arrays(self) -> Tuple[array, array]:
+        """The CSR ``(indptr, indices)`` buffers of this graph, from the plan.
+
+        Byte-identical to what the generic row-by-row compile in
+        :meth:`repro.graphs.csr.CSRGraph.from_oracle` makes of
+        :meth:`neighbors`, but filled column by column with strided
+        slice assignments: every column of a run of equal-length rows is
+        an arithmetic progression (or a few interleaved ones), so the
+        Python steps number O(k²), not O(n).
+
+        Rows come out sorted as laid out: an interior row lists its
+        parent, interior children, leaf children, then its added-leaf
+        pair; a leaf row lists its parent in copies 0 … k − 1.
+        """
+        k, m, alpha, pairs = self.k, self._m, self._alpha, self._pairs
+        live, i_min = self._live, self._i_min
+        leaf_base = self._leaf_base()
+        copy_size = k * m + 2 * pairs  # index entries per copy's interiors
+        leaf_start = k * copy_size  # where the leaf rows begin in ``indices``
+        hosts_end = i_min + pairs
+
+        indptr = array("q", (0,)) * (self.n + 1)
+        indices = array("q", (0,)) * (leaf_start + k * (self.n - leaf_base))
+
+        for copy in range(k):
+            base, start = copy * m, copy * copy_size
+            # interior rows before, inside and after the host window; the
+            # window starts at i_min ≥ 1, so the root row opens the first
+            for lo, hi, width, at in (
+                (0, i_min, k, start),
+                (i_min, hosts_end, k + 2, start + k * i_min),
+                (hosts_end, m, k, start + k * hosts_end + 2 * pairs),
+            ):
+                _put(indptr, base + lo, 1, _run(at, width, hi - lo))
+                if lo == 0:  # the root has no parent column
+                    indices[at : at + k] = array("q", self.neighbors(base))
+                    lo, at = 1, at + k
+                if lo < hi:
+                    self._fill_interiors(indices, base, lo, hi, width, at)
+        _put(indptr, leaf_base, 1, _run(leaf_start, k, self.n + 1 - leaf_base))
+
+        # leaf rows: column c is the leaf's parent in copy c
+        for copy in range(k):
+            column = leaf_start + copy
+            _put_parents(indices, column, k, alpha, live, k, copy * m)
+            # added-leaf twins: both leaves of pair e hang off host i_min + e
+            for twin in range(2):
+                _put(
+                    indices,
+                    column + k * (live + twin),
+                    2 * k,
+                    _run(copy * m + i_min, 1, pairs),
+                )
+        return indptr, indices
+
+    def _fill_interiors(
+        self, indices: array, base: int, lo: int, hi: int, width: int, at: int
+    ) -> None:
+        """Fill interior rows ``lo … hi − 1`` (``lo ≥ 1``) of the copy at
+        ``base``; every row is ``width`` long and the first starts at ``at``."""
+        k, alpha = self.k, self._alpha
+        leaf_base = self._leaf_base()
+        # interior i replaced leaf slot i − 1, whose parent is its parent
+        _put_parents(indices, at, width, lo - 1, hi - lo, k, base)
+        # child columns: slot k + (i − 1)(k − 1) + t is an interior below α
+        # and a live leaf from α on, so each column splits once
+        for t in range(k - 1):
+            first_slot = k + (lo - 1) * (k - 1) + t
+            split = min(hi, max(lo, 1 - (k + t - alpha) // (k - 1)))
+            column = at + 1 + t
+            _put(
+                indices,
+                column,
+                width,
+                _run(base + first_slot + 1, k - 1, split - lo),
+            )
+            _put(
+                indices,
+                column + (split - lo) * width,
+                width,
+                _run(
+                    leaf_base + first_slot + (split - lo) * (k - 1) - alpha,
+                    k - 1,
+                    hi - split,
+                ),
+            )
+        if width == k + 2:  # the host window: each host's added-leaf pair
+            first = leaf_base + self._live + 2 * (lo - self._i_min)
+            _put(indices, at + k, width, _run(first, 2, hi - lo))
+            _put(indices, at + k + 1, width, _run(first + 1, 2, hi - lo))
 
     # ------------------------------------------------------------------
     # Structural certification

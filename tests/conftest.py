@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph
 
 
@@ -73,4 +74,38 @@ def two_triangles_bridge() -> Graph:
     return Graph(
         edges=[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)],
         name="bridge",
+    )
+
+
+class RowByRowOracle:
+    """Only the four ``NeighborOracle`` methods of the wrapped oracle.
+
+    Hides any closed-form ``csr_arrays()``, so ``CSRGraph.from_oracle``
+    on the wrapper takes the generic row-by-row compile: the parity
+    oracle for the arithmetic CSR path.
+    """
+
+    def __init__(self, oracle) -> None:
+        self._oracle = oracle
+
+    def num_nodes(self):
+        return self._oracle.num_nodes()
+
+    def degree(self, node):
+        return self._oracle.degree(node)
+
+    def neighbors(self, node):
+        return self._oracle.neighbors(node)
+
+    def iter_nodes(self):
+        return self._oracle.iter_nodes()
+
+
+def csr_bytes_pair(oracle):
+    """``(arithmetic, generic)`` CSR buffers of ``oracle``, as raw bytes."""
+    indptr, indices = oracle.csr_arrays()
+    generic = CSRGraph.from_oracle(RowByRowOracle(oracle))
+    return (
+        (indptr.tobytes(), indices.tobytes()),
+        (generic._indptr.tobytes(), generic._indices.tobytes()),
     )

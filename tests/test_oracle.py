@@ -8,8 +8,11 @@ diameters, edge counts, and the synchronous-round flood against the
 event-driven simulator.
 """
 
+from array import array
+
 import pytest
 
+from repro import obs
 from repro.core.jenkins_demers import jd_feasibility, jenkins_demers_graph
 from repro.errors import GraphError, NodeNotFoundError
 from repro.flooding.experiments import run_flood
@@ -27,6 +30,7 @@ from repro.graphs import (
 )
 from repro.graphs.io import from_json, to_json
 from repro.graphs.traversal import bfs_levels, diameter, eccentricity
+from tests.conftest import RowByRowOracle, csr_bytes_pair
 
 # every JD-feasible pair with k in 2..5 and n within 3 growth rounds
 CENSUS = [
@@ -219,6 +223,68 @@ class TestCSR:
         assert csr.has_edge("a", "b") and csr.has_edge("b", "a")
         assert not csr.has_edge("a", "c")
         assert not csr.has_edge("a", "missing")
+
+
+class TestArithmeticCSR:
+    """``ImplicitJDOracle.csr_arrays`` against the generic row-by-row compile."""
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_census_byte_identical(self, k):
+        # every JD-feasible n < 1500 for this k
+        pairs = [n for n in range(2 * k, 1500) if jd_feasibility(n, k) is not None]
+        assert pairs
+        for n in pairs:
+            arithmetic, generic = csr_bytes_pair(ImplicitJDOracle(n, k))
+            assert arithmetic == generic, (n, k)
+
+    def test_byte_identical_at_250k(self):
+        arithmetic, generic = csr_bytes_pair(ImplicitJDOracle(250_000, 3))
+        assert arithmetic == generic
+
+    def test_compile_span_names_the_path(self):
+        oracle = ImplicitJDOracle(22, 3)
+        collector = obs.install()
+        try:
+            csr = CSRGraph.from_oracle(oracle)
+            CSRGraph.from_oracle(RowByRowOracle(oracle))
+        finally:
+            obs.uninstall()
+        opened = [e for e in collector.events if e["kind"] == "span-open"]
+        closed = [e for e in collector.events if e["kind"] == "span-close"]
+        assert [e["name"] for e in opened] == ["csr.compile", "csr.compile"]
+        assert [e["attrs"]["path"] for e in opened] == ["arithmetic", "generic"]
+        nnz = 2 * oracle.number_of_edges()
+        assert [e["attrs"] for e in closed] == [{"n": 22, "nnz": nnz}] * 2
+        assert collector.metrics.counters["csr.bytes"] == 2 * csr.nbytes()
+
+    @pytest.mark.parametrize("wrap", [lambda o: o, RowByRowOracle])
+    def test_compile_is_passive(self, wrap):
+        oracle = wrap(ImplicitJDOracle(1_000, 4))
+        plain = CSRGraph.from_oracle(oracle)
+        collector = obs.install()
+        try:
+            traced = CSRGraph.from_oracle(oracle)
+        finally:
+            obs.uninstall()
+        assert collector.events
+        assert traced._indptr.tobytes() == plain._indptr.tobytes()
+        assert traced._indices.tobytes() == plain._indices.tobytes()
+
+    @pytest.mark.parametrize(
+        "indptr,indices",
+        [
+            ([0, 1, 2], [1, 0]),  # one row pointer short of n + 1
+            ([1, 1, 2, 2], [1, 0]),  # does not start at 0
+            ([0, 1, 2, 3], [1, 0]),  # last pointer past the indices
+        ],
+    )
+    def test_inconsistent_closed_form_rejected(self, indptr, indices):
+        class Broken(RowByRowOracle):
+            def csr_arrays(self):
+                return array("q", indptr), array("q", indices)
+
+        with pytest.raises(GraphError):
+            CSRGraph.from_oracle(Broken(Graph(edges=[(0, 1)], nodes=[2])))
 
 
 class TestRoundFlood:

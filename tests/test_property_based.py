@@ -3,7 +3,7 @@
 import math
 from itertools import combinations
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.existence import build_lhg, exists, regular_exists
@@ -43,6 +43,7 @@ from repro.graphs.traversal import (
     is_simple_path,
     paths_internally_disjoint,
 )
+from tests.conftest import csr_bytes_pair
 
 # Compact strategies: pairs stay small because connectivity checks are
 # max-flow-heavy; the point is breadth of (n, k) shapes, not graph size.
@@ -322,6 +323,20 @@ class TestExistenceFunctions:
         plan = jd_feasibility(n, k)
         found = None if plan is None else (plan.conversions, plan.extra_pairs)
         assert found == expected
+
+
+class TestArithmeticCSR:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 8).flatmap(
+        lambda k: st.tuples(st.integers(2 * k, 20_000), st.just(k))
+    ))
+    def test_matches_generic_compile(self, nk):
+        # the closed-form CSR buffers equal the row-by-row compile, byte
+        # for byte, on every feasible shape
+        n, k = nk
+        assume(jd_feasibility(n, k) is not None)
+        arithmetic, generic = csr_bytes_pair(ImplicitJDOracle(n, k))
+        assert arithmetic == generic
 
 
 class TestHarary:
