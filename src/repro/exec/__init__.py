@@ -15,9 +15,11 @@ over a parameter grid.  This package gives those maps four things:
   :class:`~repro.exec.supervisor.SupervisorConfig`;
 * :class:`~repro.exec.checkpoint.CheckpointJournal` — an append-only
   JSONL journal of completed cells keyed by stable SHA-256
-  :func:`~repro.exec.checkpoint.checkpoint_key` hashes, so interrupted
-  campaigns and sweeps resume (``checkpoint=`` / ``resume=True``) with
-  results byte-identical to an uninterrupted run;
+  :func:`~repro.exec.checkpoint.checkpoint_key` hashes, and
+  :func:`~repro.exec.pool.journaled_map`, the one map that reads and
+  writes it, so interrupted campaigns, sweeps and experiment batches
+  resume (``checkpoint=`` / ``resume=True``) with results
+  byte-identical to an uninterrupted run;
 * :class:`~repro.exec.cache.GraphCache` / :data:`~repro.exec.cache.GRAPH_CACHE`
   — keyed memoization of LHG constructions ``(n, k, rule) → (graph,
   certificate)`` so a grid builds each topology once, not once per cell;
@@ -25,10 +27,12 @@ over a parameter grid.  This package gives those maps four things:
   times, cache hit rates and fault counters for every map, surfaced by
   the F13/F14 benchmarks and the CLI.
 
-Layers above wire through it behind ``workers=`` / ``timeout=`` /
-``retries=`` / ``checkpoint=`` options:
+Layers above wire through :func:`~repro.exec.pool.journaled_map`
+behind ``workers=`` / ``timeout=`` / ``retries=`` / ``checkpoint=``
+options:
 ``ChaosCampaign.run(workers=4, checkpoint="run.jsonl", resume=True)``,
-``repeat_runs(..., workers=4)``, ``run_sweep(..., workers=4)`` and
+``run_experiments(specs, workers=4)``, ``repeat_runs(..., workers=4)``,
+``run_sweep(..., workers=4)`` and
 ``python -m repro chaos 256 4 --workers 4 --checkpoint run.jsonl --resume``.
 """
 
@@ -50,7 +54,7 @@ from repro.exec.pool import (
     RemoteTraceback,
     WorkerPool,
     fork_available,
-    parallel_map,
+    journaled_map,
     resolve_workers,
 )
 from repro.exec.profiling import CellTiming, ExecutionReport
@@ -62,7 +66,6 @@ from repro.exec.supervisor import (
     ItemFailure,
     SupervisionStats,
     SupervisorConfig,
-    supervised_map,
 )
 
 __all__ = [
@@ -85,11 +88,10 @@ __all__ = [
     "checkpoint_key",
     "derive_seed",
     "fork_available",
+    "journaled_map",
     "open_journal",
     "pack_pickle",
-    "parallel_map",
     "resolve_workers",
     "seed_key",
-    "supervised_map",
     "unpack_pickle",
 ]

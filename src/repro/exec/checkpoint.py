@@ -8,12 +8,14 @@ restartable:
   ``{"key": ..., "label": ..., "payload": ...}`` — written with a single
   ``write`` + ``flush`` + ``fsync``, so a crash can at worst truncate
   the final line (which :meth:`load` skips), never corrupt earlier ones;
-* cells are **keyed by content, not position**: :func:`checkpoint_key`
-  hashes the cell's identity (topology parameters, scenario, protocol,
-  seed) with SHA-256 using the same canonical ``repr`` + unit-separator
-  scheme as :func:`~repro.exec.seeding.derive_seed`, so keys are stable
-  across processes, interpreter restarts and ``PYTHONHASHSEED`` values —
-  the same stability contract the :class:`~repro.exec.cache.GraphCache`
+* cells are **keyed by content**: :func:`checkpoint_key` hashes the
+  cell's identity (topology parameters, scenario, protocol, seed; for
+  an experiment spec also its failure schedule, protocol parameters
+  and pickled latency and fault models) with SHA-256 using the same
+  canonical ``repr`` + unit-separator scheme as
+  :func:`~repro.exec.seeding.derive_seed`, so keys are stable across
+  processes, interpreter restarts and ``PYTHONHASHSEED`` values — the
+  same stability contract the :class:`~repro.exec.cache.GraphCache`
   spec keys rely on;
 * a resumed run loads the journal, skips every journaled cell, computes
   only the remainder, and merges in original grid order — so the final
@@ -25,10 +27,12 @@ maps) ride through :func:`pack_pickle` / :func:`unpack_pickle`, which
 wrap a base64 pickle in a JSON object; campaign cells use an explicit
 JSON codec instead so journals stay human-inspectable.
 
-``ChaosCampaign.run``, ``repeat_runs`` and ``run_sweep`` all accept
-``checkpoint=`` (a journal path) and ``resume=True``; the CLI exposes
-them as ``--checkpoint`` / ``--resume`` on the chaos and diameter
-subcommands.
+The protocol itself — open, key, skip, journal each success, close,
+merge — lives in one place, :func:`~repro.exec.pool.journaled_map`.
+``ChaosCampaign.run``, ``run_experiments``, ``repeat_runs`` and
+``run_sweep`` call it and all accept ``checkpoint=`` (a journal path)
+and ``resume=True``; the CLI exposes them as ``--checkpoint`` /
+``--resume`` on the chaos and diameter subcommands.
 """
 
 from __future__ import annotations

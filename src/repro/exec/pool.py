@@ -40,10 +40,12 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro.obs as obs
 from repro.errors import ExecutionError
+from repro.exec.checkpoint import open_journal, pack_pickle, unpack_pickle
 from repro.exec.profiling import CellTiming, ExecutionReport
 from repro.exec.supervisor import (
     RemoteTraceback,
@@ -57,7 +59,7 @@ __all__ = [
     "RemoteTraceback",
     "WorkerPool",
     "fork_available",
-    "parallel_map",
+    "journaled_map",
     "resolve_workers",
 ]
 
@@ -195,6 +197,90 @@ class WorkerPool:
         raise cause
 
 
+def journaled_map(
+    fn: Callable[[Any], Any],
+    items: Sequence[Any],
+    labels: Sequence[str],
+    key: Callable[[Any], str],
+    *,
+    workers: Optional[int] = None,
+    cache: Any = None,
+    checkpoint: Any = None,
+    resume: bool = False,
+    timeout: Optional[float] = None,
+    retries: Optional[int] = None,
+    supervisor: Optional[SupervisorConfig] = None,
+    failure_mode: str = "raise",
+    encode: Callable[[Any], Any] = pack_pickle,
+    decode: Callable[[Any], Any] = unpack_pickle,
+) -> Tuple[List[Any], int, WorkerPool]:
+    """:meth:`WorkerPool.map` over a grid that resumes from a journal.
+
+    The one implementation of the checkpoint protocol every grid front
+    end (sweeps, experiment batches, chaos campaigns) shares:
+    ``checkpoint``/``resume`` open a
+    :class:`~repro.exec.checkpoint.CheckpointJournal`; items whose
+    ``key(item)`` is already journaled are decoded instead of run; every
+    other item is mapped, and each success is journaled (``encode``d)
+    the moment it completes.  Results come back in item order, so a
+    resumed grid is byte-identical to an uninterrupted one.
+
+    Keys are computed only when a journal is open, all of them before
+    any item runs, so items whose state changes as they run (stateful
+    latency models) are keyed by their state at submission.
+
+    Any of ``checkpoint``/``timeout``/``retries`` turns supervision on
+    with ``retries`` defaulting to 2 and a failure handled per
+    ``failure_mode``; an explicit ``supervisor`` overrides ``timeout``,
+    ``retries`` and ``failure_mode``, and its own ``on_result`` still
+    fires after the journal append (indexed among the items that ran).  With none of them the map neither
+    retries nor quarantines.
+
+    Returns ``(results, resumed, pool)``: the merged result list, how
+    many items came from the journal, and the pool whose
+    ``last_report`` covers the items that ran.
+    """
+    items = list(items)
+    journal = open_journal(checkpoint, resume)
+    try:
+        done: Dict[int, Any] = {}
+        if journal is not None:
+            keys = [key(item) for item in items]
+            for position, item_key in enumerate(keys):
+                payload = journal.get(item_key)
+                if payload is not None:
+                    done[position] = decode(payload)
+        todo = [i for i in range(len(items)) if i not in done]
+        if journal is not None or timeout is not None or retries is not None:
+            supervisor = supervisor or SupervisorConfig(
+                timeout=timeout,
+                retries=2 if retries is None else retries,
+                failure_mode=failure_mode,
+            )
+        if supervisor is not None and journal is not None:
+            chained = supervisor.on_result
+            record = journal.record
+
+            def journal_result(position: int, value: Any) -> None:
+                index = todo[position]
+                record(keys[index], encode(value), label=labels[index])
+                if chained is not None:
+                    chained(position, value)
+
+            supervisor = replace(supervisor, on_result=journal_result)
+        pool = WorkerPool(workers=workers, cache=cache, supervisor=supervisor)
+        fresh = iter(
+            pool.map(
+                fn, [items[i] for i in todo], labels=[labels[i] for i in todo]
+            )
+        )
+    finally:
+        if journal is not None:
+            journal.close()
+    results = [done[i] if i in done else next(fresh) for i in range(len(items))]
+    return results, len(done), pool
+
+
 def _telemetry_mark() -> int:
     """Event-list position before a map (for scoping its span tree)."""
     collector = obs.active()
@@ -209,13 +295,3 @@ def _telemetry_tree(mark: int):
     from repro.obs.export import build_span_tree
 
     return build_span_tree(collector.events[mark:])
-
-
-def parallel_map(
-    fn: Callable[[Any], Any],
-    items: Sequence[Any],
-    workers: Optional[int] = None,
-    labels: Optional[Sequence[str]] = None,
-) -> List[Any]:
-    """One-shot :meth:`WorkerPool.map` for callers without pool state."""
-    return WorkerPool(workers=workers).map(fn, items, labels=labels)

@@ -865,31 +865,3 @@ class SupervisedExecutor:
         )
         self.stats.failures.append(failure)
         self._finish(task.index, failure, 0.0, succeeded=False)
-
-
-def supervised_map(
-    fn: Callable[[Any], Any],
-    items: Sequence[Any],
-    labels: Optional[Sequence[str]] = None,
-    config: Optional[SupervisorConfig] = None,
-    workers: Optional[int] = None,
-) -> Tuple[List[Any], SupervisionStats]:
-    """One-shot supervised map for callers without pool state.
-
-    Returns ``(results, stats)``; prefer
-    ``WorkerPool(supervisor=...).map`` when an
-    :class:`~repro.exec.profiling.ExecutionReport` is wanted.
-    """
-    from repro.exec.pool import resolve_workers
-
-    items = list(items)
-    if labels is None:
-        labels = [str(i) for i in range(len(items))]
-    executor = SupervisedExecutor(
-        fn,
-        items,
-        labels,
-        config or SupervisorConfig(),
-        workers=min(resolve_workers(workers), max(1, len(items))),
-    )
-    return executor.run()

@@ -22,6 +22,7 @@ to one of these runners.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -916,23 +917,21 @@ def run_experiments(
     * ``checkpoint`` / ``resume`` journal each completed summary to an
       append-only JSONL file so an interrupted batch resumes without
       recomputation, byte-identical to an uninterrupted one.  Journal
-      keys combine each spec's position, protocol, topology size and
-      seed, so resuming expects the same spec list.
+      keys cover each spec's position and its whole content — protocol,
+      topology, source, seeds, failure schedule, protocol parameters and
+      the pickled latency and fault models as they stand before the
+      batch runs — so a journal never answers for a different spec.
     """
-    from repro.exec.checkpoint import (
-        checkpoint_key,
-        open_journal,
-        pack_pickle,
-        unpack_pickle,
-    )
-    from repro.exec.pool import WorkerPool
-    from repro.exec.supervisor import SupervisorConfig
+    from repro.exec.checkpoint import checkpoint_key, pack_pickle
+    from repro.exec.pool import journaled_map
 
     specs = list(specs)
     if labels is None:
         labels = [f"{spec.protocol}/{i}" for i, spec in enumerate(specs)]
-    keys = [
-        checkpoint_key(
+
+    def spec_key(item: Tuple[int, ExperimentSpec]) -> str:
+        index, spec = item
+        return checkpoint_key(
             "experiment",
             index,
             spec.protocol,
@@ -943,52 +942,24 @@ def run_experiments(
             spec.seed,
             spec.loss_rate,
             spec.loss_seed,
-        )
-        for index, spec in enumerate(specs)
-    ]
-    journal = open_journal(checkpoint, resume)
-    done = {}
-    if journal is not None:
-        for position, key in enumerate(keys):
-            payload = journal.get(key)
-            if payload is not None:
-                done[position] = unpack_pickle(payload)
-    todo = [i for i in range(len(specs)) if i not in done]
-
-    supervised = journal is not None or timeout is not None or retries is not None
-    config = None
-    if supervised:
-
-        def journal_result(position: int, summary: RunSummary) -> None:
-            if journal is not None:
-                journal.record(
-                    keys[todo[position]],
-                    pack_pickle(summary),
-                    label=labels[todo[position]],
-                )
-
-        config = SupervisorConfig(
-            timeout=timeout,
-            retries=2 if retries is None else retries,
-            failure_mode="raise",
-            on_result=journal_result if journal is not None else None,
+            spec.failures,
+            spec.params,
+            pack_pickle(spec.latency),
+            pack_pickle(spec.fault_model),
         )
 
-    pool = WorkerPool(workers=workers, supervisor=config)
-    try:
-        results = pool.map(
-            run_experiment,
-            [specs[i] for i in todo],
-            labels=[labels[i] for i in todo],
-        )
-    finally:
-        if journal is not None:
-            journal.close()
-    fresh = iter(results)
-    return [
-        done[position] if position in done else next(fresh)
-        for position in range(len(specs))
-    ]
+    results, _, _ = journaled_map(
+        lambda item: run_experiment(item[1]),
+        list(enumerate(specs)),
+        labels,
+        spec_key,
+        workers=workers,
+        checkpoint=checkpoint,
+        resume=resume,
+        timeout=timeout,
+        retries=retries,
+    )
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -1056,7 +1027,12 @@ def repeat_runs(
     Parameters
     ----------
     runner:
-        One of :func:`run_flood` / :func:`run_gossip` / :func:`run_treecast`.
+        One of the five registered runners: :func:`run_flood`,
+        :func:`run_gossip`, :func:`run_treecast`,
+        :func:`run_reliable_flood` or :func:`run_arq_flood`.  Each call
+        becomes the equivalent :class:`ExperimentSpec`, and the batch
+        runs through :func:`run_experiments`; any other runner raises
+        :class:`ValueError`.
     schedule_factory:
         ``seed -> FailureSchedule`` (or ``None`` for failure-free runs).
     repetitions:
@@ -1064,27 +1040,36 @@ def repeat_runs(
     workers:
         Fan the repetitions out across this many worker processes via
         the execution engine (:mod:`repro.exec`).  ``None``/``1`` run
-        serially; any value yields results identical to the serial
-        loop (schedules are derived per seed in the parent, and every
-        run is a pure function of its spec).
+        the same ``run_experiment(spec)`` calls serially; any value
+        yields results identical to the serial loop (schedules are
+        derived per seed in the parent, and every run is a pure
+        function of its spec).
     timeout / retries / checkpoint / resume:
         Fault-tolerance knobs forwarded to :func:`run_experiments`:
         per-repetition wall-clock budget, bounded retries, and
-        journal-based resume of interrupted repetition batches.  They
-        require a registered runner (one convertible to specs).
+        journal-based resume of interrupted repetition batches.
     runner_kwargs:
-        Extra keyword arguments forwarded to the runner.  For
+        Extra keyword arguments forwarded to the runner; a name the
+        runner does not take raises :class:`TypeError`.  For
         :func:`run_gossip` a ``seed`` kwarg is injected per repetition
         unless already fixed by the caller; likewise a fresh
         ``loss_seed`` is injected per repetition whenever a non-zero
         ``loss_rate`` is requested without a pinned seed.
     """
+    if runner not in _RUNNER_PROTOCOLS:
+        raise ValueError(
+            "repeat_runs needs a registered runner "
+            "(run_flood, run_gossip, run_treecast, run_reliable_flood, "
+            "run_arq_flood)"
+        )
+    # specs take any parameter, so the runner's signature checks them
+    inspect.signature(runner).bind(graph, source, **runner_kwargs)
     inject_seed = runner is run_gossip and "seed" not in runner_kwargs
     inject_loss_seed = (
         runner_kwargs.get("loss_rate", 0.0) and "loss_seed" not in runner_kwargs
     )
 
-    prepared = []
+    specs = []
     for seed in range(repetitions):
         schedule = schedule_factory(seed) if schedule_factory else None
         kwargs = dict(runner_kwargs)
@@ -1092,43 +1077,18 @@ def repeat_runs(
             kwargs["seed"] = seed
         if inject_loss_seed:
             kwargs["loss_seed"] = seed
-        prepared.append((schedule, kwargs))
+        specs.append(_spec_for_runner(runner, graph, source, schedule, kwargs))
 
-    from repro.exec.pool import resolve_workers
-
-    supervised = (
-        timeout is not None
-        or retries is not None
-        or checkpoint is not None
-        or resume
+    summaries = run_experiments(
+        specs,
+        workers=workers,
+        labels=[f"{spec.protocol}/rep{i}" for i, spec in enumerate(specs)],
+        timeout=timeout,
+        retries=retries,
+        checkpoint=checkpoint,
+        resume=resume,
     )
-    spec_able = runner in _RUNNER_PROTOCOLS
-    if supervised and not spec_able:
-        raise ValueError(
-            "timeout/retries/checkpoint need a registered runner "
-            "(run_flood, run_gossip, run_treecast, run_reliable_flood, "
-            "run_arq_flood)"
-        )
-
     aggregate = ResultAggregate()
-    if spec_able and (supervised or resolve_workers(workers) > 1):
-        specs = [
-            _spec_for_runner(runner, graph, source, schedule, kwargs)
-            for schedule, kwargs in prepared
-        ]
-        labels = [f"{spec.protocol}/rep{i}" for i, spec in enumerate(specs)]
-        summaries = run_experiments(
-            specs,
-            workers=workers,
-            labels=labels,
-            timeout=timeout,
-            retries=retries,
-            checkpoint=checkpoint,
-            resume=resume,
-        )
-        for summary in summaries:
-            aggregate.add(summary.result)
-    else:
-        for schedule, kwargs in prepared:
-            aggregate.add(runner(graph, source, failures=schedule, **kwargs))
+    for summary in summaries:
+        aggregate.add(summary.result)
     return aggregate

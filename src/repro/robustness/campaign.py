@@ -12,7 +12,7 @@ reproduced in isolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Hashable, List, Optional, Sequence, Tuple, Union
 
@@ -20,8 +20,8 @@ import repro.obs as obs
 from repro.analysis.tables import render_table
 from repro.errors import SimulationError
 from repro.exec.cache import GRAPH_CACHE, TopologySpec
-from repro.exec.checkpoint import CheckpointJournal, checkpoint_key, open_journal
-from repro.exec.pool import WorkerPool
+from repro.exec.checkpoint import CheckpointJournal, checkpoint_key
+from repro.exec.pool import journaled_map
 from repro.exec.profiling import ExecutionReport
 from repro.exec.supervisor import ItemFailure, SupervisorConfig
 from repro.flooding.experiments import summarize_run
@@ -717,62 +717,28 @@ class ChaosCampaign:
             f"{name}/{scenario.name}/{spec.name}/s{seed}"
             for name, _, spec, scenario, seed in cells
         ]
-        journal = open_journal(checkpoint, resume)
-        keys = None
-        done = {}
-        if journal is not None:
-            keys = [
-                self.cell_key(name, scenario.name, spec.name, seed)
-                for name, _, spec, scenario, seed in cells
-            ]
-            for position, key in enumerate(keys):
-                payload = journal.get(key)
-                if payload is not None:
-                    done[position] = _cell_from_payload(payload)
-        todo = [i for i in range(len(cells)) if i not in done]
-        campaign_span.set(cells=len(cells), resumed=len(done))
-
-        supervised = (
-            supervisor is not None
-            or journal is not None
-            or timeout is not None
-            or retries is not None
+        results, resumed, pool = journaled_map(
+            lambda cell: self.run_cell(*cell),
+            cells,
+            labels,
+            lambda cell: self.cell_key(
+                cell[0], cell[3].name, cell[2].name, cell[4]
+            ),
+            workers=workers,
+            cache=GRAPH_CACHE,
+            checkpoint=checkpoint,
+            resume=resume,
+            timeout=timeout,
+            retries=retries,
+            supervisor=supervisor,
+            failure_mode="quarantine",
+            encode=_cell_payload,
+            decode=_cell_from_payload,
         )
-        config = None
-        if supervised:
-            config = supervisor or SupervisorConfig(
-                timeout=timeout, retries=2 if retries is None else retries
-            )
-            if journal is not None:
-                chained = config.on_result
-
-                def journal_result(position: int, value: object) -> None:
-                    if isinstance(value, CellResult):
-                        journal.record(
-                            keys[todo[position]],
-                            _cell_payload(value),
-                            label=labels[todo[position]],
-                        )
-                    if chained is not None:
-                        chained(position, value)
-
-                config = replace(config, on_result=journal_result)
-
-        pool = WorkerPool(workers=workers, cache=GRAPH_CACHE, supervisor=config)
-        try:
-            results = pool.map(
-                lambda cell: self.run_cell(*cell),
-                [cells[i] for i in todo],
-                labels=[labels[i] for i in todo],
-            )
-        finally:
-            if journal is not None:
-                journal.close()
+        campaign_span.set(cells=len(cells), resumed=resumed)
         self.last_report = pool.last_report
         matrix = ResilienceMatrix(failures=list(pool.last_report.failures))
-        fresh = iter(results)
-        for position in range(len(cells)):
-            value = done[position] if position in done else next(fresh)
+        for value in results:
             if isinstance(value, CellResult):
                 matrix.add(value)
         return matrix

@@ -20,7 +20,7 @@ from typing import Any, Dict, Tuple
 
 import repro.obs as obs
 from repro.errors import ReproError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 
 #: Flood latency buckets, in simulated hops.  LHG diameters are
 #: O(log n), so single-digit latencies dominate; the tail buckets give
@@ -45,10 +45,10 @@ CONVERGENCE_BUCKETS: Tuple[float, ...] = (
 def percentile(snapshot: Dict[str, Any], q: float) -> float:
     """Estimate the ``q``-quantile from a histogram snapshot.
 
-    Returns the upper bound of the first bucket whose cumulative count
-    reaches ``q * count`` — a conservative (never-understated) estimate
-    with fixed buckets.  Samples in the overflow bucket report the
-    recorded maximum.  An empty histogram reports 0.0.
+    The rule is :meth:`~repro.obs.metrics.Histogram.quantile`: the upper
+    bound of the first bucket whose cumulative count reaches
+    ``q * count``, the recorded maximum for overflow samples, and 0.0
+    for an empty histogram.
 
     Raises
     ------
@@ -57,16 +57,7 @@ def percentile(snapshot: Dict[str, Any], q: float) -> float:
     """
     if not 0.0 < q <= 1.0:
         raise ReproError(f"percentile quantile must be in (0, 1], got {q}")
-    total = snapshot["count"]
-    if total == 0:
-        return 0.0
-    need = q * total
-    cumulative = 0
-    for bound, count in zip(snapshot["buckets"], snapshot["counts"]):
-        cumulative += count
-        if cumulative >= need:
-            return float(bound)
-    return float(snapshot["max"])
+    return Histogram.from_snapshot(snapshot).quantile(q)
 
 
 class SLOTracker:

@@ -883,12 +883,14 @@ class SoakService:
         ):
             entry = dict(cached_entries[self._verify_cursor])
         else:
-            topology = self._routing_topology()
-            live = topology.number_of_nodes()
-            expect_lhg = not self._pending and live >= 2 * self.config.k
+            # both callers run with no crash awaiting repair, so the
+            # routing topology is the whole overlay
+            topology = self._overlay.topology()
             with obs.span("soak-verify", tick=tick, reason=reason):
                 violations = check_topology_invariants(
-                    topology, self.config.k, expect_lhg=expect_lhg
+                    topology,
+                    self.config.k,
+                    expect_lhg=topology.number_of_nodes() >= 2 * self.config.k,
                 )
             entry = {
                 "reason": reason,

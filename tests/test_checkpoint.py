@@ -237,6 +237,115 @@ class TestExperimentResume:
                 unregistered_runner, graph, source, None, 2, retries=1
             )
 
+    def test_unregistered_runner_raises_without_supervision(self):
+        from repro.core.existence import build_lhg
+        from repro.flooding.experiments import repeat_runs
+
+        graph, _ = build_lhg(14, 3)
+        source = graph.nodes()[0]
+
+        def unregistered_runner(graph, source, failures=None):
+            raise AssertionError("never reached")
+
+        with pytest.raises(ValueError, match="registered runner"):
+            repeat_runs(unregistered_runner, graph, source, None, 2, workers=2)
+
+    @pytest.mark.parametrize("change", ["schedule", "params"])
+    def test_resume_misses_a_journal_of_another_spec(self, tmp_path, change):
+        from dataclasses import replace
+
+        from repro.core.existence import build_lhg
+        from repro.flooding.experiments import ExperimentSpec, run_experiments
+        from repro.flooding.failures import random_crashes
+
+        graph, _ = build_lhg(14, 3)
+        source = graph.nodes()[0]
+        if change == "schedule":
+            journaled = ExperimentSpec(protocol="flood", graph=graph, source=source)
+            asked = replace(
+                journaled,
+                failures=random_crashes(graph, 2, seed=0, protect={source}),
+            )
+        else:
+            journaled = ExperimentSpec(
+                protocol="gossip",
+                graph=graph,
+                source=source,
+                params={"fanout": 1, "rounds": 4},
+            )
+            asked = journaled.with_params(fanout=3)
+        path = tmp_path / "batch.jsonl"
+        first = run_experiments([journaled], checkpoint=path)
+        fresh = run_experiments([asked])
+        assert fresh != first  # the two specs really disagree
+
+        resumed = run_experiments([asked], checkpoint=path, resume=True)
+        assert resumed == fresh
+        assert len(path.read_text().splitlines()) == 2  # re-ran, journaled
+
+
+def _sweep_grid(path, resume):
+    from repro.analysis.sweep import run_sweep
+
+    result = run_sweep(
+        {"n": [1, 2, 3, 4]},
+        lambda n: {"square": n * n},
+        checkpoint=path,
+        resume=resume,
+    )
+    return result.points
+
+
+def _experiment_grid(path, resume):
+    from repro.core.existence import build_lhg
+    from repro.flooding.experiments import ExperimentSpec, run_experiments
+    from repro.flooding.failures import random_crashes
+
+    graph, _ = build_lhg(14, 3)
+    source = graph.nodes()[0]
+    specs = [
+        ExperimentSpec(
+            protocol="flood",
+            graph=graph,
+            source=source,
+            failures=random_crashes(graph, crashes, seed=0, protect={source}),
+        )
+        for crashes in range(4)
+    ]
+    return run_experiments(specs, checkpoint=path, resume=resume)
+
+
+def _campaign_grid(path, resume):
+    from repro.exec import build_lhg_cached
+    from repro.robustness import ChaosCampaign, standard_scenarios
+
+    graph, _ = build_lhg_cached(20, 3)
+    campaign = ChaosCampaign(
+        [(graph.name, graph)], scenarios=standard_scenarios()[:3], seeds=[0]
+    )
+    return campaign.run(checkpoint=path, resume=resume).render()
+
+
+class TestJournalPrefixResume:
+    """Every grid front end resumes from any prefix of its journal."""
+
+    @pytest.mark.parametrize(
+        "grid",
+        [_sweep_grid, _experiment_grid, _campaign_grid],
+        ids=["sweep", "experiments", "campaign"],
+    )
+    def test_every_prefix_resumes_identically(self, tmp_path, grid):
+        expected = grid(tmp_path / "full.jsonl", False)
+        lines = (tmp_path / "full.jsonl").read_text().splitlines(keepends=True)
+        assert len(lines) >= 3
+        for prefix in range(len(lines) + 1):
+            path = tmp_path / f"prefix{prefix}.jsonl"
+            path.write_text("".join(lines[:prefix]))
+            assert grid(path, True) == expected
+            # each item that re-runs appends one line, so a journal of
+            # exactly N lines means exactly N - prefix items re-ran
+            assert len(path.read_text().splitlines()) == len(lines)
+
 
 class TestCampaignResume:
     def test_interrupted_campaign_resumes_byte_identical(self, tmp_path):

@@ -19,7 +19,6 @@ from repro.exec import (
     build_lhg_cached,
     derive_seed,
     fork_available,
-    parallel_map,
     resolve_workers,
 )
 from repro.exec.profiling import CellTiming, ExecutionReport
@@ -80,7 +79,7 @@ class TestWorkerPool:
         # the fork-based design ships indices, not pickled callables,
         # so lambdas and closures work across the pool
         offset = 100
-        results = parallel_map(lambda x: x + offset, [1, 2, 3], workers=2)
+        results = WorkerPool(workers=2).map(lambda x: x + offset, [1, 2, 3])
         assert results == [101, 102, 103]
 
     def test_empty_items(self):

@@ -64,6 +64,15 @@ class TestRepeatRuns:
         repeat_runs(run_flood, graph, source, factory, 4)
         assert seeds_seen == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unknown_runner_kwarg_rejected(self, workers):
+        graph, _ = build_lhg(12, 3)
+        with pytest.raises(TypeError, match="fanout"):
+            repeat_runs(
+                run_flood, graph, graph.nodes()[0], None, 2,
+                workers=workers, fanout=3,
+            )
+
     def test_gossip_gets_fresh_seed_per_run(self):
         graph, _ = build_lhg(20, 3)
         source = graph.nodes()[0]

@@ -25,7 +25,6 @@ from repro.exec import (
     WorkerPool,
     derive_seed,
     fork_available,
-    supervised_map,
 )
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="requires fork")
@@ -52,25 +51,28 @@ class TestSupervisedMapPlain:
     def test_serial_supervised_matches_plain_map(self):
         items = _items(8)
         expected = [_cell(item) for item in items]
-        results, stats = supervised_map(_cell, items, workers=1)
+        pool = WorkerPool(workers=1, supervisor=SupervisorConfig())
+        results = pool.map(_cell, items)
         assert results == expected
-        assert stats.mode == "serial"
-        assert not stats.failures
+        assert pool.last_report.mode == "serial"
+        assert not pool.last_report.failures
 
     @needs_fork
     def test_forked_supervised_matches_serial(self):
         items = _items(12)
         expected = [_cell(item) for item in items]
-        results, stats = supervised_map(_cell, items, workers=3)
+        pool = WorkerPool(workers=3, supervisor=SupervisorConfig())
+        results = pool.map(_cell, items)
         assert results == expected
-        assert stats.mode == "fork-pool"
-        assert stats.workers_used == 3
-        assert not stats.failures
+        assert pool.last_report.mode == "fork-pool"
+        assert pool.last_report.workers == 3
+        assert not pool.last_report.failures
 
     def test_empty_items(self):
-        results, stats = supervised_map(_cell, [], workers=4)
+        pool = WorkerPool(workers=4, supervisor=SupervisorConfig())
+        results = pool.map(_cell, [])
         assert results == []
-        assert not stats.failures
+        assert not pool.last_report.failures
 
 
 class TestCrashInjectionSelfTest:
@@ -85,39 +87,38 @@ class TestCrashInjectionSelfTest:
         schedule = [injector.would_inject(i, 0) for i in range(len(items))]
         assert any(schedule), "injector must actually sabotage some items"
 
-        results, stats = supervised_map(
-            _cell,
-            items,
-            config=SupervisorConfig(
+        pool = WorkerPool(
+            workers=3,
+            supervisor=SupervisorConfig(
                 timeout=0.75,
                 retries=12,
                 backoff_base=0.01,
                 fault_hook=injector,
             ),
-            workers=3,
         )
+        results = pool.map(_cell, items)
+        report = pool.last_report
         assert results == expected
-        assert not stats.failures
+        assert not report.failures
         # the faults really happened — recovery, not luck
-        assert stats.retries > 0
-        assert stats.retries >= sum(1 for action in schedule if action)
+        assert report.retries > 0
+        assert report.retries >= sum(1 for action in schedule if action)
 
     @needs_fork
     def test_worker_deaths_are_detected_and_survived(self):
         items = _items(16)
         expected = [_cell(item) for item in items]
         injector = CrashInjector(rate=0.3, seed=1, actions=("exit",))
-        results, stats = supervised_map(
-            _cell,
-            items,
-            config=SupervisorConfig(
+        pool = WorkerPool(
+            workers=2,
+            supervisor=SupervisorConfig(
                 retries=12, backoff_base=0.01, fault_hook=injector
             ),
-            workers=2,
         )
+        results = pool.map(_cell, items)
         assert results == expected
-        assert stats.worker_deaths > 0
-        assert not stats.failures
+        assert pool.last_report.worker_deaths > 0
+        assert not pool.last_report.failures
 
     @needs_fork
     def test_hangs_are_timed_out_and_retried(self):
@@ -126,17 +127,16 @@ class TestCrashInjectionSelfTest:
         injector = CrashInjector(
             rate=0.3, seed=2, actions=("hang",), hang_seconds=30.0
         )
-        results, stats = supervised_map(
-            _cell,
-            items,
-            config=SupervisorConfig(
+        pool = WorkerPool(
+            workers=2,
+            supervisor=SupervisorConfig(
                 timeout=0.5, retries=12, backoff_base=0.01, fault_hook=injector
             ),
-            workers=2,
         )
+        results = pool.map(_cell, items)
         assert results == expected
-        assert stats.timeouts > 0
-        assert not stats.failures
+        assert pool.last_report.timeouts > 0
+        assert not pool.last_report.failures
 
     @needs_fork
     def test_death_budget_degrades_to_serial_and_still_finishes(self):
@@ -151,21 +151,19 @@ class TestCrashInjectionSelfTest:
                 if context.attempt == 0:
                     os._exit(11)
 
-        results, stats = supervised_map(
-            _cell,
-            items,
-            config=SupervisorConfig(
+        pool = WorkerPool(
+            workers=2,
+            supervisor=SupervisorConfig(
                 retries=3,
                 backoff_base=0.01,
                 max_worker_deaths=2,
                 fault_hook=exit_on_first_worker_attempt,
             ),
-            workers=2,
         )
+        results = pool.map(_cell, items)
         assert results == expected
-        assert stats.degraded
-        assert stats.mode == "degraded"
-        assert not stats.failures
+        assert pool.last_report.mode == "degraded"
+        assert not pool.last_report.failures
 
     def test_injector_is_deterministic_and_parent_safe(self):
         injector = CrashInjector(rate=0.5, seed=7)
@@ -191,12 +189,11 @@ class TestQuarantineAndRetries:
     def test_poison_item_is_quarantined(self, workers):
         if workers > 1 and not fork_available():
             pytest.skip("requires fork")
-        results, stats = supervised_map(
-            _poison,
-            [1, 2, 3],
-            config=SupervisorConfig(retries=2, backoff_base=0.001),
+        pool = WorkerPool(
             workers=workers,
+            supervisor=SupervisorConfig(retries=2, backoff_base=0.001),
         )
+        results = pool.map(_poison, [1, 2, 3])
         assert results[0] == 1 and results[2] == 9
         failure = results[1]
         assert isinstance(failure, ItemFailure)
@@ -204,7 +201,7 @@ class TestQuarantineAndRetries:
         assert failure.attempts == 3  # 1 try + 2 retries
         assert "poison" in failure.message
         assert "poison" in failure.remote_traceback
-        assert stats.failures == [failure]
+        assert pool.last_report.failures == [failure]
         assert "poison" in failure.summary()
 
     def test_raise_mode_aborts_with_execution_error(self):
@@ -212,16 +209,15 @@ class TestQuarantineAndRetries:
             retries=1, backoff_base=0.001, failure_mode="raise"
         )
         with pytest.raises(ExecutionError, match="poison") as excinfo:
-            supervised_map(_poison, [1, 2, 3], config=config, workers=1)
+            WorkerPool(workers=1, supervisor=config).map(_poison, [1, 2, 3])
         assert isinstance(excinfo.value.failure, ItemFailure)
 
     def test_retries_zero_fails_fast(self):
-        results, stats = supervised_map(
-            _poison,
-            [2],
-            config=SupervisorConfig(retries=0, backoff_base=0.001),
+        pool = WorkerPool(
             workers=1,
+            supervisor=SupervisorConfig(retries=0, backoff_base=0.001),
         )
+        results = pool.map(_poison, [2])
         assert isinstance(results[0], ItemFailure)
         assert results[0].attempts == 1
 
