@@ -92,6 +92,11 @@ def check_lhg(
 ) -> LHGReport:
     """Evaluate Properties 1–5 for ``graph`` at connectivity level ``k``.
 
+    P2 is read off P1 when P1 holds: Whitney's inequality κ(G) ≤ λ(G)
+    makes every k-node-connected graph k-link-connected, so the
+    edge-flow sweep runs only for graphs that fail P1, where λ ≥ k may
+    still hold with κ < k.
+
     Parameters
     ----------
     exact_diameter_limit:
@@ -115,7 +120,7 @@ def check_lhg(
         raise GraphError(f"connectivity level must be >= 1, got k={k}")
 
     node_conn = is_k_node_connected(graph, k)
-    link_conn = is_k_edge_connected(graph, k)
+    link_conn = node_conn or is_k_edge_connected(graph, k)
 
     if minimality_exact is None:
         minimal = has_degree_witness_minimality(graph, k)

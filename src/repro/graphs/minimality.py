@@ -23,12 +23,7 @@ from typing import List, Optional, Tuple
 
 from repro.errors import GraphError
 from repro.graphs.graph import Edge, Graph
-from repro.graphs.connectivity import (
-    edge_connectivity,
-    is_k_edge_connected,
-    is_k_node_connected,
-    node_connectivity,
-)
+from repro.graphs.connectivity import is_k_node_connected, node_connectivity
 
 
 def is_link_minimal(graph: Graph, k: Optional[int] = None) -> bool:
@@ -37,8 +32,9 @@ def is_link_minimal(graph: Graph, k: Optional[int] = None) -> bool:
     Parameters
     ----------
     k:
-        The connectivity level to check against.  If omitted it is
-        computed as min(κ, λ) of the graph itself.
+        The connectivity level to check against.  If omitted it is the
+        graph's own node connectivity κ, which equals min(κ, λ) by
+        Whitney's inequality κ ≤ λ.
 
     Notes
     -----
@@ -49,14 +45,14 @@ def is_link_minimal(graph: Graph, k: Optional[int] = None) -> bool:
     if graph.number_of_edges() == 0:
         return True
     if k is None:
-        k = min(node_connectivity(graph), edge_connectivity(graph))
+        k = node_connectivity(graph)
     if k == 0:
         # A disconnected graph cannot lose connectivity it does not have.
         return False
     for u, v in graph.edges():
         reduced = graph.without_edges([(u, v)])
-        still_k = is_k_edge_connected(reduced, k) and is_k_node_connected(reduced, k)
-        if still_k:
+        # κ ≥ k implies λ ≥ k (Whitney), so the node test alone decides
+        if is_k_node_connected(reduced, k):
             return False
     return True
 
@@ -68,13 +64,13 @@ def redundant_edges(graph: Graph, k: Optional[int] = None) -> List[Edge]:
     pinpoint which edge violates Property 3.
     """
     if k is None:
-        k = min(node_connectivity(graph), edge_connectivity(graph))
+        k = node_connectivity(graph)
     extras: List[Edge] = []
     if k == 0:
         return extras
     for u, v in graph.edges():
         reduced = graph.without_edges([(u, v)])
-        if is_k_edge_connected(reduced, k) and is_k_node_connected(reduced, k):
+        if is_k_node_connected(reduced, k):
             extras.append((u, v))
     return extras
 

@@ -30,7 +30,8 @@ instead of crashing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import FrozenSet, Hashable, Iterable, List, Set, Tuple
 
 from repro.errors import ReproError
@@ -71,13 +72,24 @@ class RepairReport:
     topology (descending) — a single entry when the burst left the
     survivors connected, several when it partitioned them.  ``k`` may
     be 0 for reports built by legacy callers that never recorded it.
+
+    ``damaged`` is the survivor-induced topology before the repair.
+    Its node connectivity, :attr:`connectivity_before`, is a full
+    Even–Tarjan sweep, so it is computed on first read and cached: a
+    caller that never reads it (the soak service) never pays for it.
     """
 
     plan: RepairPlan
-    connectivity_before: int
     connectivity_after: int
+    damaged: Graph = field(compare=False, repr=False)
     k: int = 0
     components_before: Tuple[int, ...] = ()
+
+    @cached_property
+    def connectivity_before(self) -> int:
+        """Node connectivity κ of the damaged topology (0 below 2 nodes)."""
+        damaged = self.damaged
+        return node_connectivity(damaged) if len(damaged) > 1 else 0
 
     @property
     def burst_size(self) -> int:
@@ -163,10 +175,12 @@ def execute_repair(
     """Remove crashed members from the overlay and report the outcome.
 
     The report records node connectivity of the *damaged* topology
-    (survivor-induced subgraph before repair) and of the repaired one,
-    demonstrating the restoration of full k-connectivity whenever the
-    survivor count allows it (n' ≥ 2k; below that the complete-graph
-    bootstrap gives n'−1 ≥ k connectivity until membership recovers).
+    (survivor-induced subgraph before repair, computed when
+    :attr:`RepairReport.connectivity_before` is first read) and of the
+    repaired one, demonstrating the restoration of full k-connectivity
+    whenever the survivor count allows it (n' ≥ 2k; below that the
+    complete-graph bootstrap gives n'−1 ≥ k connectivity until
+    membership recovers).
 
     Bursts exceeding k−1 do **not** raise: the survivors may be
     partitioned, in which case the report comes back with
@@ -182,7 +196,6 @@ def execute_repair(
     crashed_set = frozenset(crashed)
     plan = plan_repair(overlay, crashed_set)
     damaged = overlay.topology().without_nodes(crashed_set)
-    connectivity_before = node_connectivity(damaged) if len(damaged) > 1 else 0
     components = tuple(
         sorted(
             (len(component) for component in connected_components(damaged)),
@@ -195,8 +208,8 @@ def execute_repair(
     connectivity_after = node_connectivity(repaired) if len(repaired) > 1 else 0
     return RepairReport(
         plan=plan,
-        connectivity_before=connectivity_before,
         connectivity_after=connectivity_after,
+        damaged=damaged,
         k=overlay.k,
         components_before=components,
     )

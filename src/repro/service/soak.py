@@ -12,8 +12,15 @@ as an *eternal experiment* on a *virtual-time* tick loop.  Each tick
 5. re-verifies Properties 1–4 on the cadence (and always after a
    completed repair),
 6. admits Poisson flood arrivals from Zipf-distributed sources, sheds
-   the ones beyond the in-flight budget, and simulates the admitted
-   ones on the current routing topology.
+   the ones beyond the in-flight budget, and floods the admitted ones
+   with the synchronous-round engine
+   (:func:`~repro.flooding.rounds.round_flood`) over the routing view:
+   the overlay itself, or a :class:`~repro.graphs.faultview.FaultView`
+   of it with the crashes pending repair as its down-set.  Soak floods
+   run under unit latency, where a flood is one round per hop, so the
+   round engine yields exactly the event simulator's latency, message
+   bill, coverage and reachability (``tests/test_service.py`` pins the
+   parity).
 
 **Graceful degradation** is the design center.  A burst ≤ k − 1 is the
 paper's contract: the damaged topology stays connected and the repair
@@ -67,7 +74,10 @@ import repro.obs as obs
 from repro.errors import ReproError
 from repro.exec.checkpoint import CheckpointJournal, checkpoint_key, open_journal
 from repro.exec.seeding import derive_seed
-from repro.flooding.experiments import ExperimentSpec, run_experiment
+# unused here: perfbench's layer_spans wraps this name; ROADMAP item 4 deletes both
+from repro.flooding.experiments import run_experiment
+from repro.flooding.rounds import round_flood
+from repro.graphs.faultview import FaultView
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import connected_components
 from repro.overlay.membership import LHGOverlay
@@ -670,11 +680,11 @@ class SoakService:
         pending = set(self._pending)
         return [m for m in self._overlay.members if m not in pending]
 
-    def _routing_topology(self) -> Graph:
+    def _routing_view(self) -> Union[Graph, FaultView]:
         """What floods route over: the overlay minus pending crashes."""
         topology = self._overlay.topology()
         if self._pending:
-            return topology.without_nodes(set(self._pending))
+            return FaultView(topology, self._pending)
         return topology
 
     def _tick(
@@ -705,7 +715,8 @@ class SoakService:
             and not self._rebuild_only
         ):
             self._run_verify(tick, record, reason="cadence")
-        self._run_floods(tick, rng, record)
+        with obs.span("soak-floods", tick=tick):
+            self._run_floods(tick, rng, record)
 
         record["state"] = self._state
         record["population"] = self._overlay.size
@@ -817,7 +828,7 @@ class SoakService:
         self._repair_backoff_until = tick
         if len(self._pending) > config.k - 1:
             self._enter_degraded(tick, "burst", record)
-        elif len(connected_components(self._routing_topology())) > 1:
+        elif len(connected_components(self._routing_view())) > 1:
             self._enter_degraded(tick, "partition", record)
 
     def _advance_repair(self, tick: int, record: Dict[str, Any]) -> None:
@@ -927,7 +938,7 @@ class SoakService:
         cached_floods = (
             self._cached.get("floods") if self._cached is not None else None
         )
-        topology: Optional[Graph] = None
+        view: Optional[Union[Graph, FaultView]] = None
         for arrival in range(arrivals):
             source = zipf_pick(rng, live, config.zipf_exponent)
             if self._inflight_count >= budget:
@@ -940,20 +951,9 @@ class SoakService:
                 if not candidate.get("shed"):
                     entry = dict(candidate)
             if entry is None:
-                if topology is None:
-                    topology = self._routing_topology()
-                summary = run_experiment(
-                    ExperimentSpec(
-                        protocol="flood",
-                        graph=topology,
-                        source=source,
-                        seed=derive_seed(
-                            config.seed, "soak-flood", tick, arrival
-                        ),
-                    )
-                )
-                result = summary.result
-                assert result is not None  # flood always yields a result
+                if view is None:
+                    view = self._routing_view()
+                result = round_flood(view, source)
                 entry = {
                     "source": source,
                     "shed": False,

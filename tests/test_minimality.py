@@ -2,10 +2,18 @@
 
 import pytest
 
+from repro.core.properties import check_lhg
 from repro.errors import GraphError
+from repro.graphs.connectivity import (
+    edge_connectivity,
+    is_k_edge_connected,
+    is_k_node_connected,
+    node_connectivity,
+)
 from repro.graphs.graph import Graph
 from repro.graphs.generators.classic import complete_graph, cycle_graph
 from repro.graphs.generators.harary import harary_graph
+from repro.graphs.generators.random import gnp_random_graph
 from repro.graphs.minimality import (
     excess_edges_over_harary_bound,
     has_degree_witness_minimality,
@@ -93,3 +101,71 @@ class TestHararyBound:
     def test_domain_check(self):
         with pytest.raises(GraphError):
             excess_edges_over_harary_bound(complete_graph(3), 3)
+
+
+def _old_level(graph):
+    """The pre-Whitney default level: min(κ, λ)."""
+    return min(node_connectivity(graph), edge_connectivity(graph))
+
+
+def _old_redundant(graph, k):
+    """The pre-Whitney exhaustive test: λ ≥ k AND κ ≥ k after removal."""
+    return [
+        (u, v)
+        for u, v in graph.edges()
+        if is_k_edge_connected(graph.without_edges([(u, v)]), k)
+        and is_k_node_connected(graph.without_edges([(u, v)]), k)
+    ]
+
+
+def _old_is_link_minimal(graph, k=None):
+    if graph.number_of_edges() == 0:
+        return True
+    if k is None:
+        k = _old_level(graph)
+    return k != 0 and not _old_redundant(graph, k)
+
+
+def _shared_vertex_cliques(k):
+    """Two K_{k+1} glued at vertex 0: κ = 1 < k ≤ λ."""
+    left = range(0, k + 1)
+    right = [0, *range(k + 1, 2 * k + 1)]
+    edges = [
+        (u, v)
+        for side in (left, right)
+        for i, u in enumerate(side)
+        for v in list(side)[i + 1:]
+    ]
+    return Graph(edges=edges)
+
+
+WHITNEY_CASES = [
+    *[(gnp_random_graph(n, p, seed=seed), k)
+      for seed, (n, p) in enumerate([(8, 0.5), (9, 0.6), (10, 0.45),
+                                     (11, 0.55), (12, 0.4), (10, 0.7)])
+      for k in (1, 2, 3, 4)],
+    *[(_shared_vertex_cliques(k), k) for k in (2, 3, 4)],
+]
+
+
+class TestWhitneyShortcut:
+    """κ ≤ λ in every graph, so P1 decides P2 whenever it holds."""
+
+    def test_shared_vertex_cliques_separate_kappa_from_lambda(self):
+        for k in (2, 3, 4):
+            graph = _shared_vertex_cliques(k)
+            assert node_connectivity(graph) == 1
+            assert edge_connectivity(graph) == k
+
+    @pytest.mark.parametrize("graph, k", WHITNEY_CASES)
+    def test_check_lhg_link_connected_matches_edge_flow(self, graph, k):
+        assert check_lhg(graph, k).link_connected == is_k_edge_connected(graph, k)
+
+    @pytest.mark.parametrize("graph, k", WHITNEY_CASES)
+    def test_minimality_matches_the_and_form(self, graph, k):
+        assert is_link_minimal(graph, k) == _old_is_link_minimal(graph, k)
+        assert is_link_minimal(graph) == _old_is_link_minimal(graph)
+        assert redundant_edges(graph, k) == _old_redundant(graph, k)
+        default = redundant_edges(graph)
+        old_level = _old_level(graph)
+        assert default == (_old_redundant(graph, old_level) if old_level else [])

@@ -149,3 +149,30 @@ class TestDegradedBurst:
         assert not report.degraded
         assert not report.partitioned
         assert report.components_before == (14,)
+
+
+class TestLazyConnectivityBefore:
+    """The damaged topology's κ is a full sweep: paid only when read."""
+
+    def test_no_sweep_on_the_damaged_graph_until_read(self, monkeypatch):
+        import repro.overlay.repair as repair_module
+
+        overlay = populated_overlay(k=3, size=16)
+        crashed = ["p2", "p9"]
+        damaged = overlay.topology().without_nodes(set(crashed))
+        swept = []
+
+        def recording(graph):
+            swept.append(graph)
+            return node_connectivity(graph)
+
+        monkeypatch.setattr(repair_module, "node_connectivity", recording)
+        report = execute_repair(overlay, crashed)
+        # the one sweep so far is connectivity_after's, on the repaired graph
+        assert len(swept) == 1
+        assert all(graph is not report.damaged for graph in swept)
+        before = report.connectivity_before
+        assert len(swept) == 2 and swept[-1] is report.damaged
+        assert before == node_connectivity(damaged)
+        assert report.connectivity_before == before
+        assert len(swept) == 2  # cached: the second read sweeps nothing

@@ -14,6 +14,7 @@ The acceptance bar mirrors the service's two headline claims:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -26,6 +27,11 @@ import pytest
 
 from repro.core.existence import build_lhg
 from repro.errors import ReproError
+from repro.flooding.experiments import ExperimentSpec, run_experiment
+from repro.flooding.rounds import round_flood
+from repro.graphs.faultview import FaultView
+from repro.graphs.traversal import connected_components
+from repro.overlay.membership import LHGOverlay
 from repro.robustness import check_topology_invariants
 from repro.service import (
     DEGRADED,
@@ -272,6 +278,87 @@ class TestSoakRun:
         assert report["final_state"] == HEALTHY
 
 
+def _member_overlay(size, k=3):
+    overlay = LHGOverlay(k=k)
+    for i in range(size):
+        overlay.join(f"peer-{i}")
+    return overlay
+
+
+def _flood_fields(latency, messages, covered, reachable):
+    return (float(latency or 0), messages, covered, reachable)
+
+
+class TestRoundFloodParity:
+    """Soak floods run on the round engine over a ``FaultView`` of the
+    overlay; each must equal the event-simulated flood on the survivor
+    copy it replaced, for every live source."""
+
+    def _assert_parity(self, topology, down):
+        view = FaultView(topology, down)
+        survivors = topology.without_nodes(set(down))
+        for source in survivors.nodes():
+            fast = round_flood(view, source)
+            summary = run_experiment(
+                ExperimentSpec(
+                    protocol="flood", graph=survivors, source=source, seed=3
+                )
+            )
+            slow = summary.result
+            assert _flood_fields(
+                fast.completion_time, fast.messages, fast.covered, fast.reachable
+            ) == _flood_fields(
+                slow.completion_time, slow.messages, slow.covered, slow.reachable
+            ), (source, sorted(down))
+
+    @pytest.mark.parametrize("size", [12, 17, 24])
+    @pytest.mark.parametrize("burst", [2, 3])  # k - 1 and k
+    def test_pending_down_sets(self, size, burst):
+        topology = _member_overlay(size).topology()
+        rng = random.Random(size * 10 + burst)
+        down = rng.sample(sorted(topology.nodes()), burst)
+        self._assert_parity(topology, down)
+
+    def test_partitioning_burst_isolates_a_source(self):
+        topology = _member_overlay(20).topology()
+        lonely = min(topology.nodes(), key=lambda v: (topology.degree(v), v))
+        down = sorted(topology.neighbors(lonely))
+        survivors = topology.without_nodes(set(down))
+        components = connected_components(survivors)
+        assert len(components) > 1 and {lonely} in components
+        self._assert_parity(topology, down)
+
+
+#: SHA-256 of ``SoakReport.to_json()``, taken when floods still ran on
+#: the event simulator over a ``without_nodes`` copy and P2 was a
+#: separate edge-flow sweep; the round engine and the lazy repair
+#: connectivity must leave every report byte-identical.  The small edge
+#: budget keeps crashes pending across ticks, so many floods route over
+#: the ``FaultView`` of the overlay.
+PINNED_REPORTS = [
+    (
+        dict(population=16, k=3, duration=40, churn_rate=0.4,
+             flood_rate=6.0, repair_edge_budget=4, bursts=((12, 2),),
+             seed=11),
+        "0d2f8cdec042a1617c6a8fc6ffc6aafacbdb7ea8bfb0ccc3eed97eeb1d924075",
+    ),
+    (
+        # a burst of 4 > k - 1, then a burst of k
+        dict(population=16, k=3, duration=40, churn_rate=0.4,
+             flood_rate=6.0, repair_edge_budget=4, bursts=((12, 4), (25, 3)),
+             seed=12),
+        "41d42daf0f4970f6c4d83d632148cf0b3bca8764da154a4bc65a1c2087c066b4",
+    ),
+]
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("kwargs, digest", PINNED_REPORTS)
+    def test_report_bytes_are_pinned(self, kwargs, digest):
+        report = run_soak(SoakConfig(**kwargs))
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
 class TestSoakCheckpoint:
     def test_journaled_run_matches_plain(self, tmp_path):
         config = SoakConfig(**CFG)
@@ -378,6 +465,8 @@ class TestKillResumeSelfTest:
         victim.wait(timeout=60)
 
         completed = journal.read_text().count("\n") if journal.exists() else 0
+        # the kill landed mid-run: meta + 300 ticks would be 301 lines
+        assert completed < 301
         resumed = _cli(
             args + ["--checkpoint", str(journal), "--resume"], env
         )
