@@ -264,6 +264,22 @@ class ConstructionCertificate:
                                 f"{members[i]} -- {members[j]}"
                             )
 
+    def bound_proofs(self, graph) -> Optional["StructuralProofs"]:
+        """This certificate's structural proofs, if ``graph`` is its pasting.
+
+        The binding is a full O(n·k) audit, :meth:`verify_graph`: equal
+        node and edge counts plus every tree edge, leaf paste and leaf
+        degree present means ``graph`` has exactly the pasting's edge
+        set, so the proofs speak about ``graph`` itself.  Returns
+        ``None`` when the audit finds any mismatch: an unbound
+        certificate proves nothing about the graph.
+        """
+        try:
+            self.verify_graph(graph)
+        except CertificateError:
+            return None
+        return structural_proofs(self)
+
     # ------------------------------------------------------------------
     # Serialisation
     # ------------------------------------------------------------------

@@ -13,7 +13,11 @@ costs:
   churn reflects the construction's incremental structure, not label
   noise;
 * :class:`ChurnCost` records edges added/removed and members rewired per
-  event, the series experiment F6 reports.
+  event, the series experiment F6 reports;
+* the construction's :class:`~repro.core.certificates.ConstructionCertificate`
+  is kept, so :meth:`LHGOverlay.certified_topology` can hand a verifier
+  the slot-labelled topology together with the certificate that claims
+  to describe it (the verifier audits that claim before trusting it).
 
 Below n = 2k no LHG exists; the overlay bootstraps with a complete
 graph (k-connected for n > k, trivially connected below) and switches to
@@ -25,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
-from repro.errors import ReproError
+from repro.errors import GraphError, ReproError
+from repro.core.certificates import ConstructionCertificate
 from repro.core.existence import build_lhg
 from repro.graphs.graph import Graph, edge_key
 
@@ -82,6 +87,7 @@ class LHGOverlay:
         self._slot_of: Dict[MemberId, Hashable] = {}
         self._member_of: Dict[Hashable, MemberId] = {}
         self._graph = Graph(name="lhg-overlay(empty)")
+        self._certificate: Optional[ConstructionCertificate] = None
         self._history: List[ChurnCost] = []
 
     # ------------------------------------------------------------------
@@ -114,11 +120,32 @@ class LHGOverlay:
         clone._slot_of = dict(self._slot_of)
         clone._member_of = dict(self._member_of)
         clone._graph = self._graph.copy()
+        clone._certificate = self._certificate
         return clone
 
     def slot_assignment(self) -> Dict[MemberId, Hashable]:
         """Current member → construction-slot mapping (copy)."""
         return dict(self._slot_of)
+
+    def certified_topology(
+        self,
+    ) -> Tuple[Graph, Optional[ConstructionCertificate]]:
+        """The topology to certify and the certificate claimed for it.
+
+        In the LHG regime this is the member topology relabelled through
+        :meth:`slot_assignment` (a new graph) with the construction's
+        certificate.  The pair is a claim, not a proof: a verifier binds
+        it with :meth:`ConstructionCertificate.bound_proofs`, a full
+        audit, before trusting it.  In the complete-graph bootstrap
+        regime, or when the slot map is not injective (so no relabelling
+        exists), it is a copy of the member topology with ``None``.
+        """
+        if self._certificate is None:
+            return self.topology(), None
+        try:
+            return self._graph.relabeled(self._slot_of), self._certificate
+        except GraphError:
+            return self.topology(), None
 
     def in_lhg_regime(self) -> bool:
         """True once n ≥ 2k (the LHG construction is active)."""
@@ -159,20 +186,25 @@ class LHGOverlay:
     # Rebuild machinery
     # ------------------------------------------------------------------
 
-    def _target_construction(self) -> Graph:
-        """Slot-labelled topology for the current membership count."""
+    def _target_construction(
+        self,
+    ) -> Tuple[Graph, Optional[ConstructionCertificate]]:
+        """Slot-labelled topology for the current membership count.
+
+        Returned with its construction certificate; ``None`` in the
+        complete-graph bootstrap regime below n = 2k.
+        """
         n = len(self._members)
         if n <= 1:
-            return Graph(nodes=range(n), name="bootstrap")
+            return Graph(nodes=range(n), name="bootstrap"), None
         if n < 2 * self.k:
             bootstrap = Graph(name="bootstrap-complete")
             bootstrap.add_nodes_from(range(n))
             bootstrap.add_edges_from(
                 (i, j) for i in range(n) for j in range(i + 1, n)
             )
-            return bootstrap
-        graph, _ = build_lhg(n, self.k, rule=self.rule)
-        return graph
+            return bootstrap, None
+        return build_lhg(n, self.k, rule=self.rule)
 
     def _assign_slots(self, slot_labels: List[Hashable]) -> None:
         """Stably map members onto the new construction's slots.
@@ -202,7 +234,7 @@ class LHGOverlay:
         old_edges: Set[FrozenSet] = {
             edge_key(u, v) for u, v in self._graph.iter_edges()
         }
-        construction = self._target_construction()
+        construction, self._certificate = self._target_construction()
         self._assign_slots(construction.nodes())
 
         rebuilt = Graph(name=f"lhg-overlay(n={len(self._members)},k={self.k})")

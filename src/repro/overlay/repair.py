@@ -73,6 +73,13 @@ class RepairReport:
     survivors connected, several when it partitioned them.  ``k`` may
     be 0 for reports built by legacy callers that never recorded it.
 
+    ``connectivity_after`` is the node connectivity κ of the repaired
+    topology.  :func:`execute_repair` takes it from arithmetic whenever
+    that is a proof: ``k`` when the overlay's construction certificate
+    binds to the repaired topology (a full audit) with a conclusive,
+    holding P1 and the minimum degree is ``k`` (κ ≥ k by P1, κ ≤ δ);
+    ``n − 1`` for a complete graph; otherwise an exact sweep.
+
     ``damaged`` is the survivor-induced topology before the repair.
     Its node connectivity, :attr:`connectivity_before`, is a full
     Even–Tarjan sweep, so it is computed on first read and cached: a
@@ -204,15 +211,30 @@ def execute_repair(
     )
     for member in sorted(crashed_set, key=repr):
         overlay.leave(member)
-    repaired = overlay.topology()
-    connectivity_after = node_connectivity(repaired) if len(repaired) > 1 else 0
     return RepairReport(
         plan=plan,
-        connectivity_after=connectivity_after,
+        connectivity_after=_repaired_connectivity(overlay),
         damaged=damaged,
         k=overlay.k,
         components_before=components,
     )
+
+
+def _repaired_connectivity(overlay: LHGOverlay) -> int:
+    """κ of the overlay's topology: proved by arithmetic, else swept."""
+    repaired, certificate = overlay.certified_topology()
+    n = len(repaired)
+    if n <= 1:
+        return 0
+    if certificate is not None and repaired.min_degree() == certificate.k:
+        proofs = certificate.bound_proofs(repaired)
+        if proofs is not None:
+            p1 = proofs.witness("P1")
+            if p1.conclusive and p1.holds:
+                return certificate.k  # κ ≥ k by P1, κ ≤ δ = k
+    if repaired.number_of_edges() == n * (n - 1) // 2:
+        return n - 1
+    return node_connectivity(repaired)
 
 
 def crash_repair_cycle(

@@ -20,7 +20,8 @@ The long-running service (:mod:`repro.service`) checks a second kind
 of invariant on a cadence: not one run's *record* but the overlay's
 current *topology* — Properties 1–4 of the paper's LHG definition.
 :func:`check_topology_invariants` bridges
-:func:`repro.core.properties.check_lhg` into the same
+:func:`repro.core.properties.check_lhg` (or a construction certificate
+that a full audit binds to the topology) into the same
 :class:`InvariantViolation` vocabulary so campaign cells and the soak
 loop report failures through one channel.
 """
@@ -28,7 +29,7 @@ loop report failures through one channel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, List, Optional, Set
+from typing import Hashable, Iterable, List, Optional, Set
 
 import repro.obs as obs
 from repro.core.properties import check_lhg
@@ -185,13 +186,29 @@ def _certificate_violations(proofs, n: int, k: int) -> List[InvariantViolation]:
     return violations
 
 
+class TopologyVerdict(List[InvariantViolation]):
+    """The violations of one topology check, and the rule that decided.
+
+    A plain list of :class:`InvariantViolation` (empty means sound) that
+    also records ``rule``: ``"certificate"`` when structural proofs
+    decided, ``"exact"`` when the exact checkers ran, ``"recertify"``
+    when a :class:`FaultView` was handed to :func:`recertify_survivors`.
+    """
+
+    def __init__(
+        self, rule: str, violations: Iterable[InvariantViolation] = ()
+    ) -> None:
+        super().__init__(violations)
+        self.rule = rule
+
+
 def check_topology_invariants(
     graph: NeighborOracle,
     k: int,
     expect_lhg: bool = True,
     certificate=None,
     exact_limit: int = 512,
-) -> List[InvariantViolation]:
+) -> TopologyVerdict:
     """Check the overlay topology against Properties 1–4 (see module doc).
 
     With ``expect_lhg=True`` the graph must satisfy the full LHG bundle
@@ -202,50 +219,84 @@ def check_topology_invariants(
     enforced: node connectivity ≥ min(n − 1, k).
 
     ``graph`` may be any :class:`~repro.graphs.oracle.NeighborOracle`.
-    Up to ``exact_limit`` nodes the exact Dinic-backed checkers run
-    (read-only backends are materialised first), so the soak loop and
-    chaos campaigns gate exactly as before.  Beyond it the check
-    switches to **structural certificates**: the oracle's own
-    :meth:`structural_proofs` when it has one (the implicit JD oracle),
-    else proofs derived from the ``certificate`` argument (a
-    :class:`~repro.core.certificates.ConstructionCertificate`).  With
-    neither available the exact path runs regardless of size — correct,
-    but O(k·n·m); pass the certificate at scale.
+    The first rule that applies decides:
 
-    Returns the violations — an empty list means the topology is sound.
+    1. **certificate (oracle)**: above ``exact_limit`` nodes, an oracle
+       with its own :meth:`structural_proofs` (the implicit JD oracle)
+       is judged by them; an inconclusive witness is a violation.
+    2. **certificate (bound)**: at any n, a ``certificate`` argument (a
+       :class:`~repro.core.certificates.ConstructionCertificate`)
+       counts only once it is *bound* to ``graph`` by a full O(n·k)
+       audit (:meth:`~repro.core.certificates.ConstructionCertificate.bound_proofs`:
+       ``graph`` must be exactly its pasting, edge set for edge set).
+       A bound certificate whose proofs all conclusively hold for this
+       very (n, k) returns no violations.
+    3. **exact**: anything else — no certificate, one that does not
+       bind, or proofs that are inconclusive, failing or for another
+       (n, k) — runs the exact Dinic-backed checkers (read-only
+       backends are materialised first), whatever the size: correct,
+       but O(k·n·m).
+
+    A :class:`FaultView` is handed to :func:`recertify_survivors`,
+    which counts it under ``recertify.<rule>``.  Every other call emits
+    one ``verify.<rule>`` counter (``certificate`` or ``exact``).
+
+    Returns a :class:`TopologyVerdict` — the violations (an empty list
+    means the topology is sound) and the deciding ``rule``.
     """
-    n = graph.num_nodes()
-    if n <= 1:
-        return []
     if expect_lhg and isinstance(graph, FaultView):
         # failures invalidate pristine-construction certificates; the
         # survivor component gets its own certification battery
-        return recertify_survivors(graph, k, exact_limit=exact_limit)
-    use_certificates = expect_lhg and n > exact_limit
-    if use_certificates:
+        return TopologyVerdict(
+            "recertify", recertify_survivors(graph, k, exact_limit=exact_limit)
+        )
+    verdict = _check_topology(graph, k, expect_lhg, certificate, exact_limit)
+    obs.counter(f"verify.{verdict.rule}")
+    return verdict
+
+
+def _check_topology(
+    graph: NeighborOracle,
+    k: int,
+    expect_lhg: bool,
+    certificate,
+    exact_limit: int,
+) -> TopologyVerdict:
+    """Rules 1–3 of :func:`check_topology_invariants`, uncounted."""
+    n = graph.num_nodes()
+    if n <= 1:
+        return TopologyVerdict("exact")
+    if expect_lhg and n > exact_limit:
         prove = getattr(graph, "structural_proofs", None)
         if prove is not None:
-            return _certificate_violations(prove(), n, k)
-        if certificate is not None:
-            from repro.core.certificates import structural_proofs
-
-            return _certificate_violations(structural_proofs(certificate), n, k)
+            return TopologyVerdict(
+                "certificate", _certificate_violations(prove(), n, k)
+            )
     if not isinstance(graph, Graph):
         graph = materialize(graph)
+    if expect_lhg and certificate is not None:
+        proofs = certificate.bound_proofs(graph)
+        if proofs is not None and proofs.all_hold and (
+            (proofs.n, proofs.k) == (n, k)
+        ):
+            return TopologyVerdict("certificate")
     if not expect_lhg:
         target = min(n - 1, k)
         connectivity = node_connectivity(graph)
         if connectivity < target:
-            return [
-                InvariantViolation(
-                    "bootstrap-connectivity",
-                    f"κ={connectivity} below the bootstrap bound {target} "
-                    f"at n={n}",
-                )
-            ]
-        return []
+            return TopologyVerdict(
+                "exact",
+                [
+                    InvariantViolation(
+                        "bootstrap-connectivity",
+                        f"κ={connectivity} below the bootstrap bound {target} "
+                        f"at n={n}",
+                    )
+                ],
+            )
+        return TopologyVerdict("exact")
     report = check_lhg(graph, k)
-    violations = []
+    violations = TopologyVerdict("exact")
     for name, ok, detail in (
         ("P1-node-connectivity", report.node_connected, f"κ < {k}"),
         ("P2-link-connectivity", report.link_connected, f"λ < {k}"),
@@ -297,9 +348,11 @@ def recertify_survivors(
     The first rule that applies decides, and each emits one
     ``recertify.<rule>`` counter:
 
-    1. **pristine** (damage 0): delegates to
-       :func:`check_topology_invariants` on the base, which certifies
-       or checks it exactly (counted as ``certificate`` or ``exact``).
+    1. **pristine** (damage 0): the base is judged as
+       :func:`check_topology_invariants` would judge it, by its own
+       proofs or exactly (counted here as ``certificate`` or ``exact``,
+       with no ``verify.<rule>`` counter); a :class:`FaultView` base is
+       recertified in turn.
     2. **unclaimed** (damage ≥ k): the paper claims nothing — a
        partition is a legitimate outcome — so nothing is checked.
     3. **certificate**: the base's own :meth:`structural_proofs` has
@@ -320,14 +373,11 @@ def recertify_survivors(
     """
     damage = view.damage
     if damage == 0:
-        base = view.base
-        pristine_by_proofs = base.num_nodes() > exact_limit and hasattr(
-            base, "structural_proofs"
-        )
-        obs.counter(
-            "recertify.certificate" if pristine_by_proofs else "recertify.exact"
-        )
-        return check_topology_invariants(base, k, exact_limit=exact_limit)
+        if isinstance(view.base, FaultView):
+            return recertify_survivors(view.base, k, exact_limit=exact_limit)
+        verdict = _check_topology(view.base, k, True, None, exact_limit)
+        obs.counter(f"recertify.{verdict.rule}")
+        return verdict
     residual = k - damage
     if residual <= 0:
         obs.counter("recertify.unclaimed")

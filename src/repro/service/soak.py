@@ -10,7 +10,8 @@ as an *eternal experiment* on a *virtual-time* tick loop.  Each tick
 3. feeds the burst to the online repair controller,
 4. advances any pending repair by the per-tick edge budget,
 5. re-verifies Properties 1–4 on the cadence (and always after a
-   completed repair),
+   completed repair): by the construction certificate once a full
+   audit binds it to the slot-labelled overlay, else exactly,
 6. admits Poisson flood arrivals from Zipf-distributed sources, sheds
    the ones beyond the in-flight budget, and floods the admitted ones
    with the synchronous-round engine
@@ -895,14 +896,18 @@ class SoakService:
             entry = dict(cached_entries[self._verify_cursor])
         else:
             # both callers run with no crash awaiting repair, so the
-            # routing topology is the whole overlay
-            topology = self._overlay.topology()
-            with obs.span("soak-verify", tick=tick, reason=reason):
+            # routing topology is the whole overlay; the check binds the
+            # construction certificate to it by a full audit, and runs
+            # the exact checkers only if that binding fails
+            topology, certificate = self._overlay.certified_topology()
+            with obs.span("soak-verify", tick=tick, reason=reason) as span:
                 violations = check_topology_invariants(
                     topology,
                     self.config.k,
                     expect_lhg=topology.number_of_nodes() >= 2 * self.config.k,
+                    certificate=certificate,
                 )
+                span.set(rule=violations.rule)
             entry = {
                 "reason": reason,
                 "ok": not violations,

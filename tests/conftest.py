@@ -109,3 +109,19 @@ def csr_bytes_pair(oracle):
         (indptr.tobytes(), indices.tobytes()),
         (generic._indptr.tobytes(), generic._indices.tobytes()),
     )
+
+
+@pytest.fixture
+def repair_sweeps(monkeypatch):
+    """Every κ sweep ``repro.overlay.repair`` runs, recorded in call order."""
+    import repro.overlay.repair as repair_module
+    from repro.graphs.connectivity import node_connectivity
+
+    swept = []
+
+    def recording(graph):
+        swept.append(graph)
+        return node_connectivity(graph)
+
+    monkeypatch.setattr(repair_module, "node_connectivity", recording)
+    return swept

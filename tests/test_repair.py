@@ -152,27 +152,38 @@ class TestDegradedBurst:
 
 
 class TestLazyConnectivityBefore:
-    """The damaged topology's κ is a full sweep: paid only when read."""
+    """No κ sweep the certificate or the reader does not ask for."""
 
-    def test_no_sweep_on_the_damaged_graph_until_read(self, monkeypatch):
-        import repro.overlay.repair as repair_module
-
+    def test_no_sweep_on_the_damaged_graph_until_read(self, repair_sweeps):
+        swept = repair_sweeps
         overlay = populated_overlay(k=3, size=16)
         crashed = ["p2", "p9"]
         damaged = overlay.topology().without_nodes(set(crashed))
-        swept = []
-
-        def recording(graph):
-            swept.append(graph)
-            return node_connectivity(graph)
-
-        monkeypatch.setattr(repair_module, "node_connectivity", recording)
         report = execute_repair(overlay, crashed)
-        # the one sweep so far is connectivity_after's, on the repaired graph
-        assert len(swept) == 1
-        assert all(graph is not report.damaged for graph in swept)
+        # the certificate binds to the repaired overlay: no sweep at all
+        assert swept == []
+        assert report.connectivity_after == node_connectivity(overlay.topology())
         before = report.connectivity_before
-        assert len(swept) == 2 and swept[-1] is report.damaged
+        assert len(swept) == 1 and swept[0] is report.damaged
         assert before == node_connectivity(damaged)
         assert report.connectivity_before == before
-        assert len(swept) == 2  # cached: the second read sweeps nothing
+        assert len(swept) == 1  # cached: the second read sweeps nothing
+
+    def test_one_sweep_when_the_certificate_does_not_bind(
+        self, monkeypatch, repair_sweeps
+    ):
+        import repro.overlay.membership as membership
+
+        overlay = populated_overlay(k=3, size=16)
+        build = membership.build_lhg
+
+        def dropping_one_edge(n, k, rule="auto"):
+            graph, certificate = build(n, k, rule=rule)
+            graph.remove_edge(*next(graph.iter_edges()))
+            return graph, certificate
+
+        monkeypatch.setattr(membership, "build_lhg", dropping_one_edge)
+        report = execute_repair(overlay, ["p2", "p9"])
+        assert len(repair_sweeps) == 1 and repair_sweeps[0] is not report.damaged
+        assert report.connectivity_after == node_connectivity(overlay.topology())
+        assert report.connectivity_after < 3

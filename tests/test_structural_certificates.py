@@ -161,6 +161,23 @@ class TestTopologyInvariants:
             graph, 3, certificate=certificate, exact_limit=10
         )
         assert violations == []
+        assert violations.rule == "certificate"
+
+    def test_unbound_certificate_argument_falls_through(self):
+        # the certificate describes the pristine graph, not this one: it
+        # must not vouch for it, at any exact_limit
+        graph, certificate = build_lhg(100, 3)
+        graph.remove_edge(*next(graph.iter_edges()))
+        exact = check_topology_invariants(graph, 3)
+        assert {"P1-node-connectivity", "P2-link-connectivity"} <= {
+            v.invariant for v in exact
+        }
+        for exact_limit in (10, 512):
+            violations = check_topology_invariants(
+                graph, 3, certificate=certificate, exact_limit=exact_limit
+            )
+            assert violations == exact
+            assert violations.rule == "exact"
 
     def test_inconclusive_witness_surfaces_as_violation(self):
         class Shifty:
