@@ -60,13 +60,16 @@ def _node_flow(
     return int(net.max_flow(("out", s), ("in", t), cutoff=cutoff))
 
 
-def _pair_network(graph: Graph, s: Node, t: Node) -> Tuple[FlowNetwork, bool]:
+def _pair_network(
+    graph: Graph, s: Node, t: Node, canonical: bool = False
+) -> Tuple[FlowNetwork, bool]:
     """Split network for one pair, built on G − st when s and t are adjacent.
 
     Returns the network and whether the edge st was left out; the
-    caller adds that edge back as the one extra disjoint path.
+    caller adds that edge back as the one extra disjoint path.  With
+    ``canonical`` the arcs follow the edges' ``repr`` order, not hash order.
     """
-    edges: List[Edge] = graph.edges()
+    edges: List[Edge] = sorted(graph.edges(), key=repr) if canonical else graph.edges()
     adjacent = graph.has_edge(s, t)
     if adjacent:
         edges = [(u, v) for u, v in edges if not (u in (s, t) and v in (s, t))]
@@ -329,7 +332,7 @@ def node_disjoint_paths(graph: Graph, s: Node, t: Node) -> List[List[Node]]:
     adjacent pair the direct path ``[s, t]`` comes first.
     """
     _require_distinct_nodes(graph, s, t)
-    net, adjacent = _pair_network(graph, s, t)
+    net, adjacent = _pair_network(graph, s, t, canonical=True)
     paths: List[List[Node]] = [[s, t]] if adjacent else []
     if _node_flow(net, s, t) == 0:
         return paths

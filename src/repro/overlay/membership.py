@@ -7,17 +7,19 @@ module maintains the invariant "the current topology is an LHG for
 costs:
 
 * every membership change re-derives the construction for the new n
-  (choosing rules via :func:`repro.core.existence.build_lhg`);
+  (choosing rules via :func:`repro.core.existence.build_lhg`) in one
+  rebuild; :meth:`LHGOverlay.adopt` applies a what-if copy's events;
 * logical construction slots are mapped to member ids **stably** — a
   member keeps its slot while that slot survives — so the measured edge
   churn reflects the construction's incremental structure, not label
   noise;
 * :class:`ChurnCost` records edges added/removed and members rewired per
-  event, the series experiment F6 reports;
+  event (from each member's old and new neighbours), the series
+  experiment F6 reports;
 * the construction's :class:`~repro.core.certificates.ConstructionCertificate`
   is kept, so :meth:`LHGOverlay.certified_topology` can hand a verifier
-  the slot-labelled topology together with the certificate that claims
-  to describe it (the verifier audits that claim before trusting it).
+  the slot-labelled topology with the certificate, bound to it by one
+  full audit per rebuild (:class:`BoundCertificate`).
 
 Below n = 2k no LHG exists; the overlay bootstraps with a complete
 graph (k-connected for n > k, trivially connected below) and switches to
@@ -26,13 +28,14 @@ the LHG construction at n = 2k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
+import repro.obs as obs
 from repro.errors import GraphError, ReproError
-from repro.core.certificates import ConstructionCertificate
+from repro.core.certificates import ConstructionCertificate, StructuralProofs
 from repro.core.existence import build_lhg
-from repro.graphs.graph import Graph, edge_key
+from repro.graphs.graph import Graph
 
 MemberId = Hashable
 
@@ -56,6 +59,26 @@ class ChurnCost:
     def total_churn(self) -> int:
         """Added plus removed edges."""
         return self.edges_added + self.edges_removed
+
+
+class BoundCertificate:
+    """A construction certificate audited once against one topology.
+
+    A graph equal to that topology gets the audit's proofs; any other
+    graph is audited afresh.
+    """
+
+    def __init__(self, certificate: ConstructionCertificate, audited: Graph) -> None:
+        self.certificate = certificate
+        self.k = certificate.k
+        self._audited = audited
+        self._proofs = certificate.bound_proofs(audited)
+
+    def bound_proofs(self, graph) -> Optional[StructuralProofs]:
+        """The certificate's proofs if ``graph`` is its pasting, else ``None``."""
+        if graph == self._audited:
+            return self._proofs
+        return self.certificate.bound_proofs(graph)
 
 
 class LHGOverlay:
@@ -89,6 +112,9 @@ class LHGOverlay:
         self._graph = Graph(name="lhg-overlay(empty)")
         self._certificate: Optional[ConstructionCertificate] = None
         self._history: List[ChurnCost] = []
+        # a copy's origin: (overlay, its event count), see adopt
+        self._origin: Optional[Tuple["LHGOverlay", int]] = None
+        self._bound: Optional[Tuple[Graph, Optional[BoundCertificate]]] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -114,14 +140,35 @@ class LHGOverlay:
         return self._graph.copy()
 
     def copy(self) -> "LHGOverlay":
-        """An independent overlay with identical state (for what-if planning)."""
+        """An independent overlay in the same state, for what-if planning.
+
+        Only the churn history is not copied: the copy records just the
+        events applied to it, which :meth:`adopt` appends.
+        """
         clone = LHGOverlay(k=self.k, rule=self.rule)
-        clone._members = list(self._members)
-        clone._slot_of = dict(self._slot_of)
-        clone._member_of = dict(self._member_of)
-        clone._graph = self._graph.copy()
-        clone._certificate = self._certificate
+        clone._take_state(self)
+        clone._origin = (self, len(self._history))
         return clone
+
+    def adopt(self, scratch: "LHGOverlay") -> bool:
+        """End as if this overlay had run the events of its :meth:`copy`.
+
+        Returns ``False``, changing nothing, if this overlay has changed
+        since the copy was taken.
+        """
+        if scratch._origin != (self, len(self._history)):
+            return False
+        self._take_state(scratch)
+        self._history.extend(scratch._history)
+        self._bound = None
+        return True
+
+    def _take_state(self, other: "LHGOverlay") -> None:
+        self._members = list(other._members)
+        self._slot_of = dict(other._slot_of)
+        self._member_of = dict(other._member_of)
+        # graphs are replaced on rebuild, never edited, so they can be shared
+        self._graph, self._certificate = other._graph, other._certificate
 
     def slot_assignment(self) -> Dict[MemberId, Hashable]:
         """Current member → construction-slot mapping (copy)."""
@@ -129,23 +176,28 @@ class LHGOverlay:
 
     def certified_topology(
         self,
-    ) -> Tuple[Graph, Optional[ConstructionCertificate]]:
-        """The topology to certify and the certificate claimed for it.
+    ) -> Tuple[Graph, Optional[BoundCertificate]]:
+        """The topology to certify and the certificate bound to it.
 
-        In the LHG regime this is the member topology relabelled through
-        :meth:`slot_assignment` (a new graph) with the construction's
-        certificate.  The pair is a claim, not a proof: a verifier binds
-        it with :meth:`ConstructionCertificate.bound_proofs`, a full
-        audit, before trusting it.  In the complete-graph bootstrap
-        regime, or when the slot map is not injective (so no relabelling
-        exists), it is a copy of the member topology with ``None``.
+        In the LHG regime: the member topology relabelled through
+        :meth:`slot_assignment`, with the construction's certificate
+        bound to it by one full audit per rebuild.  In the complete-graph
+        bootstrap regime, or when the slot map is not injective (so no
+        relabelling exists): the member topology with ``None``.  The
+        topology is always a fresh copy.
         """
-        if self._certificate is None:
-            return self.topology(), None
-        try:
-            return self._graph.relabeled(self._slot_of), self._certificate
-        except GraphError:
-            return self.topology(), None
+        if self._bound is None:
+            self._bound = self._graph, None
+            if self._certificate is not None:
+                try:
+                    relabeled = self._graph.relabeled(self._slot_of)
+                except GraphError:
+                    pass  # the slot map is not injective: nothing to bind
+                else:
+                    certificate = BoundCertificate(self._certificate, relabeled)
+                    self._bound = relabeled, certificate
+        topology, certificate = self._bound
+        return topology.copy(), certificate
 
     def in_lhg_regime(self) -> bool:
         """True once n ≥ 2k (the LHG construction is active)."""
@@ -195,15 +247,9 @@ class LHGOverlay:
         complete-graph bootstrap regime below n = 2k.
         """
         n = len(self._members)
-        if n <= 1:
-            return Graph(nodes=range(n), name="bootstrap"), None
         if n < 2 * self.k:
-            bootstrap = Graph(name="bootstrap-complete")
-            bootstrap.add_nodes_from(range(n))
-            bootstrap.add_edges_from(
-                (i, j) for i in range(n) for j in range(i + 1, n)
-            )
-            return bootstrap, None
+            complete = ((i, j) for i in range(n) for j in range(i + 1, n))
+            return Graph(nodes=range(n), edges=complete, name="bootstrap"), None
         return build_lhg(n, self.k, rule=self.rule)
 
     def _assign_slots(self, slot_labels: List[Hashable]) -> None:
@@ -213,10 +259,11 @@ class LHGOverlay:
         the remaining slots in deterministic order.
         """
         slot_set = set(slot_labels)
+        members = set(self._members)
         kept = {
             member: slot
             for member, slot in self._slot_of.items()
-            if slot in slot_set and member in set(self._members)
+            if slot in slot_set and member in members
         }
         free_slots = sorted(slot_set - set(kept.values()), key=repr)
         unassigned = [m for m in self._members if m not in kept]
@@ -231,31 +278,38 @@ class LHGOverlay:
         self._member_of = {slot: member for member, slot in kept.items()}
 
     def _rebuild(self, event: str, member: MemberId) -> ChurnCost:
-        old_edges: Set[FrozenSet] = {
-            edge_key(u, v) for u, v in self._graph.iter_edges()
-        }
+        old = self._graph.adjacency_view()
         construction, self._certificate = self._target_construction()
         self._assign_slots(construction.nodes())
+        member_of, n = self._member_of, len(self._members)
+        rebuilt = Graph(nodes=self._members, name=f"lhg-overlay(n={n},k={self.k})")
+        done: Set[Hashable] = set()
+        for slot, neighbours in construction.adjacency_view().items():
+            node = member_of[slot]
+            for neighbour in neighbours:
+                if neighbour not in done:
+                    rebuilt.add_edge(node, member_of[neighbour])
+            done.add(slot)
 
-        rebuilt = Graph(name=f"lhg-overlay(n={len(self._members)},k={self.k})")
-        rebuilt.add_nodes_from(self._members)
-        for u_slot, v_slot in construction.iter_edges():
-            rebuilt.add_edge(self._member_of[u_slot], self._member_of[v_slot])
-
-        new_edges: Set[FrozenSet] = {
-            edge_key(u, v) for u, v in rebuilt.iter_edges()
-        }
-        added = new_edges - old_edges
-        removed = old_edges - new_edges
-        touched = {node for pair in (added | removed) for node in pair}
-        self._graph = rebuilt
+        # every changed edge is seen from both ends: a kept member's row,
+        # or the departed member's old row for the edges it took along
+        added = rewired = 0
+        removed = len(old.get(member, ()))
+        for node, neighbours in rebuilt.adjacency_view().items():
+            before = old.get(node, frozenset())
+            if neighbours != before:
+                rewired += 1
+                added += len(neighbours - before)
+                removed += len(before - neighbours)
+        self._graph, self._bound = rebuilt, None
+        obs.counter("overlay.rebuild")
         cost = ChurnCost(
             event=event,
             member=member,
-            n_after=len(self._members),
-            edges_added=len(added),
-            edges_removed=len(removed),
-            members_rewired=len(touched & set(self._members)),
+            n_after=n,
+            edges_added=added // 2,
+            edges_removed=removed // 2,
+            members_rewired=rewired,
         )
         self._history.append(cost)
         return cost

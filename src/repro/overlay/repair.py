@@ -13,7 +13,7 @@ repair step and measures its cost:
   :class:`~repro.overlay.membership.LHGOverlay`;
 * :class:`RepairReport` — connectivity before/after and the edge bill.
 
-The crash-then-repair-then-crash-again cycle is experiment F7's
+The crash-then-repair-then-crash-again cycle is experiment F8's
 workload: an overlay that repairs after each burst survives an
 *unbounded* number of total failures, as long as no single burst
 exceeds k−1 — the operational content of the paper's resilience claim.
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import FrozenSet, Hashable, Iterable, List, Set, Tuple
+from typing import FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import ReproError
 from repro.graphs.connectivity import node_connectivity
@@ -49,13 +49,16 @@ class RepairPlan:
 
     ``teardown`` are surviving-member links to drop; ``establish`` are
     new links to create.  Both exclude links that died with the crashed
-    members (those cost nothing to "remove").
+    members (those cost nothing to "remove").  ``repaired`` is the
+    overlay copy the plan ran the leaves on, which :func:`execute_repair`
+    adopts while the planned overlay is unchanged.
     """
 
     crashed: FrozenSet[MemberId]
     survivors: Tuple[MemberId, ...]
     teardown: FrozenSet[FrozenSet[MemberId]]
     establish: FrozenSet[FrozenSet[MemberId]]
+    repaired: LHGOverlay = field(compare=False, repr=False)
 
     @property
     def total_edge_work(self) -> int:
@@ -140,8 +143,8 @@ class RepairReport:
 def plan_repair(overlay: LHGOverlay, crashed: Iterable[MemberId]) -> RepairPlan:
     """Compute the repair diff for removing ``crashed`` members.
 
-    The plan is computed against a scratch copy; the overlay itself is
-    not modified (use :func:`execute_repair` for that).
+    The plan runs the leaves on a copy, kept as ``repaired``; the
+    overlay itself is not modified (:func:`execute_repair` does that).
 
     Raises
     ------
@@ -157,10 +160,10 @@ def plan_repair(overlay: LHGOverlay, crashed: Iterable[MemberId]) -> RepairPlan:
         raise MembershipError("cannot repair an overlay with no survivors")
 
     before = overlay.topology()
-    scratch = overlay.copy()
+    repaired = overlay.copy()
     for member in sorted(crashed_set, key=repr):
-        scratch.leave(member)
-    after = scratch.topology()
+        repaired.leave(member)
+    after = repaired.topology()
 
     old_edges = {
         edge_key(u, v)
@@ -173,11 +176,14 @@ def plan_repair(overlay: LHGOverlay, crashed: Iterable[MemberId]) -> RepairPlan:
         survivors=survivors,
         teardown=frozenset(old_edges - new_edges),
         establish=frozenset(new_edges - old_edges),
+        repaired=repaired,
     )
 
 
 def execute_repair(
-    overlay: LHGOverlay, crashed: Iterable[MemberId]
+    overlay: LHGOverlay,
+    crashed: Iterable[MemberId],
+    plan: Optional[RepairPlan] = None,
 ) -> RepairReport:
     """Remove crashed members from the overlay and report the outcome.
 
@@ -188,6 +194,10 @@ def execute_repair(
     whenever the survivor count allows it (n' ≥ 2k; below that the
     complete-graph bootstrap gives n'−1 ≥ k connectivity until
     membership recovers).
+
+    A ``plan`` for the same crashed set is applied by adopting its
+    repaired copy if the overlay has not changed since it was planned,
+    else the repair is planned afresh; the outcome is the same.
 
     Bursts exceeding k−1 do **not** raise: the survivors may be
     partitioned, in which case the report comes back with
@@ -201,16 +211,18 @@ def execute_repair(
         members, or a burst that leaves no survivors at all).
     """
     crashed_set = frozenset(crashed)
-    plan = plan_repair(overlay, crashed_set)
     damaged = overlay.topology().without_nodes(crashed_set)
+    if plan is None or plan.crashed != crashed_set or not overlay.adopt(
+        plan.repaired
+    ):
+        plan = plan_repair(overlay, crashed_set)
+        overlay.adopt(plan.repaired)
     components = tuple(
         sorted(
             (len(component) for component in connected_components(damaged)),
             reverse=True,
         )
     )
-    for member in sorted(crashed_set, key=repr):
-        overlay.leave(member)
     return RepairReport(
         plan=plan,
         connectivity_after=_repaired_connectivity(overlay),

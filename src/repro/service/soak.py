@@ -82,7 +82,7 @@ from repro.graphs.faultview import FaultView
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import connected_components
 from repro.overlay.membership import LHGOverlay
-from repro.overlay.repair import execute_repair, plan_repair
+from repro.overlay.repair import RepairPlan, execute_repair, plan_repair
 from repro.robustness.invariants import check_topology_invariants
 from repro.service.alerts import AlertPolicy, BurnRateMonitor
 from repro.service.slo import SLOTracker, percentile
@@ -517,7 +517,7 @@ class SoakService:
         self._degraded_cause: Optional[str] = None
         self._windows: List[DegradationWindow] = []
         self._pending: Tuple[str, ...] = ()
-        self._repair_work: Optional[int] = None
+        self._repair_plan: Optional[RepairPlan] = None
         self._repair_progress = 0
         self._repair_restarts = 0
         self._repair_backoff_until = 0
@@ -804,7 +804,7 @@ class SoakService:
             # Burst landed mid-repair: the repair restarts (bounded).
             self._repair_restarts += 1
             self._pending = tuple(sorted(set(self._pending) | set(burst)))
-            self._repair_work = None
+            self._repair_plan = None
             self._repair_progress = 0
             self._enter_degraded(tick, "repair-backlog", record)
             if self._repair_restarts > config.repair_retries:
@@ -823,7 +823,7 @@ class SoakService:
                 )
             return
         self._pending = tuple(sorted(set(burst)))
-        self._repair_work = None
+        self._repair_plan = None
         self._repair_progress = 0
         self._repair_restarts = 0
         self._repair_backoff_until = tick
@@ -840,21 +840,18 @@ class SoakService:
             return  # an emergency rebuild already completed this tick
         if tick < self._repair_backoff_until:
             return
-        if self._repair_work is None:
-            self._repair_work = (
-                plan_repair(self._overlay, self._pending).total_edge_work
-                if self._pending
-                else 0
-            )
+        if self._repair_plan is None:
+            # kept for _complete_repair, which adopts it if still current
+            self._repair_plan = plan_repair(self._overlay, self._pending)
         self._repair_progress += self.config.repair_edge_budget
-        if self._repair_progress >= self._repair_work:
+        if self._repair_progress >= self._repair_plan.total_edge_work:
             self._complete_repair(tick, record, emergency=False)
 
     def _complete_repair(
         self, tick: int, record: Dict[str, Any], emergency: bool
     ) -> None:
         """Execute the pending repair and prove recovery by re-verifying."""
-        report = execute_repair(self._overlay, self._pending)
+        report = execute_repair(self._overlay, self._pending, self._repair_plan)
         record["repair"] = {
             "completed": True,
             "burst": report.burst_size,
@@ -873,7 +870,7 @@ class SoakService:
             emergency=emergency,
         )
         self._pending = ()
-        self._repair_work = None
+        self._repair_plan = None
         self._repair_progress = 0
         self._repair_restarts = 0
         self._rebuild_only = False
@@ -896,9 +893,10 @@ class SoakService:
             entry = dict(cached_entries[self._verify_cursor])
         else:
             # both callers run with no crash awaiting repair, so the
-            # routing topology is the whole overlay; the check binds the
-            # construction certificate to it by a full audit, and runs
-            # the exact checkers only if that binding fails
+            # routing topology is the whole overlay; the check takes the
+            # overlay's one full audit per rebuild (shared with a repair
+            # just completed), and runs the exact checkers only if that
+            # binding fails
             topology, certificate = self._overlay.certified_topology()
             with obs.span("soak-verify", tick=tick, reason=reason) as span:
                 violations = check_topology_invariants(

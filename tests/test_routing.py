@@ -1,6 +1,10 @@
 """Tests for certificate-based routing and Menger witnesses."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -101,6 +105,33 @@ class TestMengerWitness:
             assert paths_internally_disjoint(paths)
             assert all(is_simple_path(graph, p) for p in paths)
             assert all(p[0] == s and p[-1] == t for p in paths)
+
+    def test_witness_is_the_same_under_every_hash_seed(self):
+        # build_lhg(46, 4) labels nodes with tuples holding strings, whose
+        # neighbour sets iterate in hash order; the witness must not
+        script = (
+            "import random\n"
+            "from repro.core.existence import build_lhg\n"
+            "from repro.core.routing import menger_witness\n"
+            "graph, cert = build_lhg(46, 4)\n"
+            "rng = random.Random(7)\n"
+            "for _ in range(6):\n"
+            "    s, t = rng.sample(graph.nodes(), 2)\n"
+            "    print(menger_witness(graph, cert, s, t))\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                check=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                timeout=120,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert outputs[0] and outputs[0] == outputs[1]
 
     def test_witness_detects_damaged_graph(self):
         graph, cert = build_lhg(10, 3)
