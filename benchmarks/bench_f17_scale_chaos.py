@@ -6,7 +6,9 @@ derived arithmetically from the JD pasting structure by
 :func:`~repro.robustness.attacks.targeted_cut_attacks` (leaf
 isolation, attachment-link cuts, mixed damage, root-copy crashes,
 single-failure probes) — is replayed against the million-node implicit
-oracle, and for each one:
+oracle by the scale pipeline
+(:func:`repro.robustness.scale.run_scale` with ``attack=True``), and
+for each one:
 
 1. the failure-aware synchronous-round flood
    (:func:`~repro.flooding.rounds.round_flood` with the plan's
@@ -24,25 +26,21 @@ oracle, and for each one:
 
 Shape assertions: full survivor coverage and a clean certification for
 *every* plan; peak RSS under 1 GB for the whole campaign.  The
+derivation and per-plan flood and recertify seconds are the pipeline's
+own spans, read from an installed :class:`repro.obs.Collector`.  The
 scorecard lands in ``results/BENCH_scale_chaos.json``.
 """
 
 from __future__ import annotations
 
 import pathlib
-import sys
-import time
 
-from repro.perf import emit_bench
-
+from repro import obs
 from repro.core.properties import logarithmic_diameter_bound
-from repro.flooding.rounds import round_flood
-from repro.graphs.faultview import component_size
-from repro.flooding.failures import survivors
-from repro.graphs.faultview import FaultView
-from repro.graphs.implicit import ImplicitJDOracle
+from repro.graphs.faultview import FaultView, component_size
+from repro.perf import emit_bench
 from repro.robustness.attacks import targeted_cut_attacks
-from repro.robustness.invariants import recertify_survivors
+from repro.robustness.scale import run_scale
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -51,31 +49,22 @@ K = 3
 RSS_CEILING_BYTES = 1 << 30  # 1 GB
 
 
-def _peak_rss_bytes() -> int:
-    import resource
-
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # Linux reports kilobytes; macOS reports bytes.
-    return peak if sys.platform == "darwin" else peak * 1024
-
-
 def test_f17_scale_chaos(benchmark, report):
-    t0 = time.perf_counter()
-    oracle = ImplicitJDOracle(N, K)
-    plans = targeted_cut_attacks(oracle)
-    derive_seconds = time.perf_counter() - t0
-    assert plans, "no attack plans derived"
+    collector = obs.install()
+    try:
+        run = run_scale(N, K, attack=True)
+    finally:
+        obs.uninstall()
+    seconds = {
+        (span["name"], span["attrs"].get("attack")): span["seconds"]
+        for span in obs.iter_spans(collector.events)
+    }
+    derive_seconds = seconds["scale.attacks.derive", None]
+    oracle = run.oracle
+    assert run.attacks, "no attack plans derived"
 
     rows = []
-    for plan in plans:
-        schedule = plan.schedule()
-        source = plan.surviving_source(oracle)
-
-        t0 = time.perf_counter()
-        flood = round_flood(oracle, source, schedule=schedule)
-        flood_seconds = time.perf_counter() - t0
-
-        view = survivors(oracle, schedule)
+    for plan, source, flood, view, violations in run.attacks:
         assert isinstance(view, FaultView), type(view)
         assert view.damage == plan.damage
 
@@ -89,10 +78,6 @@ def test_f17_scale_chaos(benchmark, report):
         assert flood.fully_covered, plan.name
         assert flood.covered == flood.alive, plan.name
         assert flood.rounds <= logarithmic_diameter_bound(N, K) + plan.damage
-
-        t0 = time.perf_counter()
-        violations = recertify_survivors(view, K)
-        certify_seconds = time.perf_counter() - t0
         assert violations == [], (plan.name, [str(v) for v in violations])
 
         rows.append(
@@ -108,12 +93,16 @@ def test_f17_scale_chaos(benchmark, report):
                 "coverage": flood.covered / flood.alive,
                 "messages": flood.messages,
                 "rounds": flood.rounds,
-                "flood_seconds": round(flood_seconds, 4),
-                "recertify_seconds": round(certify_seconds, 4),
+                "flood_seconds": round(
+                    seconds["scale.attack.flood", plan.name], 4
+                ),
+                "recertify_seconds": round(
+                    seconds["scale.attack.recertify", plan.name], 4
+                ),
             }
         )
 
-    peak_rss = _peak_rss_bytes()
+    peak_rss = run.report["peak_rss_bytes"]
     assert peak_rss < RSS_CEILING_BYTES, f"peak RSS {peak_rss} >= 1 GB"
     assert all(row["coverage"] == 1.0 for row in rows)
 
@@ -124,7 +113,7 @@ def test_f17_scale_chaos(benchmark, report):
         "topology": {"n": N, "k": K, "rule": oracle.rule},
         "edges": oracle.number_of_edges(),
         "attack_budget": K - 1,
-        "plans": len(plans),
+        "plans": len(rows),
         "survivor_coverage": 1.0,
         "attacks": rows,
         "peak_rss_bytes": peak_rss,
@@ -150,7 +139,7 @@ def test_f17_scale_chaos(benchmark, report):
     )
     lines = [
         f"F17: million-node chaos — JD LHG(n={N}, k={K}), "
-        f"{len(plans)} targeted k−1 attacks",
+        f"{len(rows)} targeted k−1 attacks",
         f"  coverage: 100% of survivors under every plan "
         f"(worst completion {worst_rounds} rounds)",
         f"  recertification: all plans conclusive and clean "

@@ -3,37 +3,29 @@
 The paper's constructions are *for* large groups, but every earlier
 experiment tops out in the thousands because the dict-of-sets graph and
 the Dinic-backed property checkers are priced for exactness, not scale.
-This experiment exercises the scale substrate end to end at n = 10⁶:
-
-1. build the Jenkins–Demers LHG as an :class:`ImplicitJDOracle` —
-   O(1) state, neighbours by arithmetic, the graph never materialises;
-2. certify Properties 1–4 by **structural certificate**
-   (:meth:`structural_proofs`) — every witness must be conclusive and
-   hold (the certificates themselves are pinned against the exact
-   Dinic checkers over the full small-(n, k) census in
-   ``tests/test_structural_certificates.py``);
-3. compile the oracle to a :class:`CSRGraph` — flat ``array('q')``
-   adjacency, no label table (ids are dense ints);
-4. flood from node 0 in synchronous rounds (:func:`round_flood`) and
-   require full coverage with the P4 round bound.
+This experiment runs the scale pipeline
+(:func:`repro.robustness.scale.run_scale`) at n = 10⁶: the
+Jenkins–Demers LHG as an :class:`ImplicitJDOracle` (neighbours by
+arithmetic, never materialised), Properties 1–4 by structural
+certificate (pinned against the exact Dinic checkers over the
+small-(n, k) census in ``tests/test_structural_certificates.py``), a
+dense-id :class:`CSRGraph` compile and a round flood from node 0.
 
 Shape assertions: every certificate conclusive and holding; flood
 covers all 10⁶ nodes within the logarithmic diameter budget; peak RSS
-stays under 1 GB.  The scorecard lands in
+stays under 1 GB.  Stage seconds are the pipeline's own spans, read
+from an installed :class:`repro.obs.Collector`.  The scorecard lands in
 ``results/BENCH_scale.json``.
 """
 
 from __future__ import annotations
 
 import pathlib
-import sys
-import time
 
+from repro import obs
 from repro.core.properties import logarithmic_diameter_bound
 from repro.perf import emit_bench
-from repro.flooding.rounds import round_flood
-from repro.graphs.csr import CSRGraph
-from repro.graphs.implicit import ImplicitJDOracle
+from repro.robustness.scale import run_scale
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -42,39 +34,30 @@ K = 3
 RSS_CEILING_BYTES = 1 << 30  # 1 GB
 
 
-def _peak_rss_bytes() -> int:
-    import resource
-
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # Linux reports kilobytes; macOS reports bytes.
-    return peak if sys.platform == "darwin" else peak * 1024
-
-
 def test_t8_scale(benchmark, report):
-    t0 = time.perf_counter()
-    oracle = ImplicitJDOracle(N, K)
-    build_seconds = time.perf_counter() - t0
+    collector = obs.install()
+    try:
+        run = run_scale(N, K, csr=True, flood=True)
+    finally:
+        obs.uninstall()
+    seconds = {
+        span["name"]: span["seconds"] for span in obs.iter_spans(collector.events)
+    }
+    build_seconds = seconds["scale.build"]
+    certify_seconds = seconds["scale.certify"]
+    compile_seconds = seconds["csr.compile"]
+    flood_seconds = seconds["scale.flood"]
+    oracle, proofs, csr, flood = run.oracle, run.proofs, run.csr, run.flood
 
-    t0 = time.perf_counter()
-    proofs = oracle.structural_proofs()
-    certify_seconds = time.perf_counter() - t0
     assert proofs.conclusive, proofs.summary()
     assert proofs.all_hold, proofs.summary()
-
-    t0 = time.perf_counter()
-    csr = CSRGraph.from_oracle(oracle, name=oracle.name)
-    compile_seconds = time.perf_counter() - t0
     assert csr.dense_labels
     assert csr.num_nodes() == N
     assert csr.number_of_edges() == oracle.number_of_edges()
-
-    t0 = time.perf_counter()
-    flood = round_flood(csr, 0)
-    flood_seconds = time.perf_counter() - t0
     assert flood.covered == N
     assert flood.rounds <= logarithmic_diameter_bound(N, K)
 
-    peak_rss = _peak_rss_bytes()
+    peak_rss = run.report["peak_rss_bytes"]
     assert peak_rss < RSS_CEILING_BYTES, f"peak RSS {peak_rss} >= 1 GB"
 
     # benchmark the hot per-query path: one arithmetic neighbourhood
@@ -84,10 +67,7 @@ def test_t8_scale(benchmark, report):
         "topology": {"n": N, "k": K, "rule": oracle.rule},
         "edges": oracle.number_of_edges(),
         "height": oracle.height(),
-        "properties": {
-            w.property_id: {"holds": w.holds, "conclusive": w.conclusive}
-            for w in proofs.witnesses
-        },
+        "properties": run.report["properties"],
         "flood": {
             "source": 0,
             "covered": flood.covered,

@@ -20,11 +20,11 @@ Subcommands:
   degradation and SLO tracking (``--checkpoint`` / ``--resume`` make a
   killed soak resumable with a byte-identical report); exit code 0 when
   SLOs hold, 1 on an SLO violation, 2 on usage errors;
-* ``scale``    — build the (n, k) LHG as an *implicit* oracle (no
-  materialised graph), certify Properties 1–4 by structural
-  certificate, optionally compile to CSR and flood in synchronous
-  rounds; reports peak RSS, so ``scale 1000000 3 --flood`` is the
-  million-node smoke test;
+* ``scale``    — run :func:`repro.robustness.scale.run_scale`: the
+  (n, k) LHG as an *implicit* oracle, certified by structural
+  certificate, optionally compiled to CSR and flooded (``--csr``,
+  ``--flood``) and struck by every targeted k − 1 attack (``--attack``);
+  reports peak RSS, so ``scale 1000000 3 --flood`` is the smoke test;
 * ``trace``    — summarise or convert a ``--telemetry`` JSONL log
   (``trace summary run.jsonl``, ``trace chrome run.jsonl -o t.json``);
 * ``prof``     — run the flooding simulator under the span-attributed
@@ -542,84 +542,21 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _peak_rss_bytes() -> int:
-    """Peak RSS of this process in bytes (0 where unsupported)."""
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX
-        return 0
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # Linux reports kilobytes; macOS reports bytes.
-    return peak if sys.platform == "darwin" else peak * 1024
-
-
 def _cmd_scale(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.graphs.csr import CSRGraph
-    from repro.graphs.implicit import ImplicitJDOracle
+    from repro.robustness.scale import run_scale
 
-    oracle = ImplicitJDOracle(args.n, args.k)
-    proofs = oracle.structural_proofs()
-    report = {
-        "n": args.n,
-        "k": args.k,
-        "rule": oracle.rule,
-        "edges": oracle.number_of_edges(),
-        "height": oracle.height(),
-        "properties": {
-            w.property_id: {"holds": w.holds, "conclusive": w.conclusive}
-            for w in proofs.witnesses
-        },
-    }
-    if args.csr or args.flood:
-        csr = CSRGraph.from_oracle(oracle, name=oracle.name)
-        report["csr_bytes"] = csr.nbytes()
-    if args.flood:
-        from repro.flooding.rounds import round_flood
-
-        flood = round_flood(csr, 0)
-        report["flood"] = {
-            "covered": flood.covered,
-            "messages": flood.messages,
-            "rounds": flood.rounds,
-        }
-    attacks_green = True
-    if args.attack:
-        from repro.flooding.failures import survivors
-        from repro.flooding.rounds import round_flood
-        from repro.robustness.attacks import targeted_cut_attacks
-        from repro.robustness.invariants import recertify_survivors
-
-        attacks = []
-        for plan in targeted_cut_attacks(oracle):
-            schedule = plan.schedule()
-            source = plan.surviving_source(oracle)
-            flood = round_flood(oracle, source, schedule=schedule)
-            view = survivors(oracle, schedule)
-            violations = [str(v) for v in recertify_survivors(view, args.k)]
-            certified = flood.fully_covered and not violations
-            attacks_green = attacks_green and certified
-            attacks.append(
-                {
-                    "attack": plan.name,
-                    "damage": plan.damage,
-                    "alive": flood.alive,
-                    "covered": flood.covered,
-                    "reachable": flood.reachable,
-                    "rounds": flood.rounds,
-                    "messages": flood.messages,
-                    "violations": violations,
-                }
-            )
-        report["attacks"] = attacks
-    report["peak_rss_bytes"] = _peak_rss_bytes()
+    run = run_scale(
+        args.n, args.k, csr=args.csr, flood=args.flood, attack=args.attack
+    )
+    report = run.report
     if args.json:
         print(_json.dumps(report, sort_keys=False))
     else:
-        print(f"{oracle.name}: {args.n} nodes, {report['edges']} edges, "
+        print(f"{run.oracle.name}: {args.n} nodes, {report['edges']} edges, "
               f"height {report['height']}")
-        print(f"  certificates: {proofs.summary()}")
+        print(f"  certificates: {run.proofs.summary()}")
         if "csr_bytes" in report:
             print(f"  CSR size: {report['csr_bytes'] / 1e6:.1f} MB")
         if "flood" in report:
@@ -640,7 +577,7 @@ def _cmd_scale(args: argparse.Namespace) -> int:
                 f"{row['rounds']} rounds — {verdict}"
             )
         print(f"  peak RSS: {report['peak_rss_bytes'] / 1e6:.1f} MB")
-    return 0 if proofs.all_hold and proofs.conclusive and attacks_green else 1
+    return 0 if run.green else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -73,8 +73,7 @@ class RepairReport:
     ``k`` is the overlay's target connectivity and
     ``components_before`` the survivor component sizes of the *damaged*
     topology (descending) — a single entry when the burst left the
-    survivors connected, several when it partitioned them.  ``k`` may
-    be 0 for reports built by legacy callers that never recorded it.
+    survivors connected, several when it partitioned them.
 
     ``connectivity_after`` is the node connectivity κ of the repaired
     topology.  :func:`execute_repair` takes it from arithmetic whenever
@@ -92,7 +91,7 @@ class RepairReport:
     plan: RepairPlan
     connectivity_after: int
     damaged: Graph = field(compare=False, repr=False)
-    k: int = 0
+    k: int
     components_before: Tuple[int, ...] = ()
 
     @cached_property
@@ -122,22 +121,17 @@ class RepairReport:
         """
         if self.partitioned:
             return True
-        return self.k > 0 and self.burst_size > self.k - 1
+        return self.burst_size > self.k - 1
 
     @property
     def restored(self) -> bool:
         """True when the post-repair topology reached full strength.
 
         Full strength is k-connectivity when the survivor count allows
-        it (n′ ≥ k + 1), else the complete-graph bound n′ − 1.  Reports
-        without a recorded ``k`` fall back to "connected again".
+        it (n′ ≥ k + 1), else the complete-graph bound n′ − 1.
         """
-        if self.k > 0:
-            target = min(self.k, max(0, len(self.plan.survivors) - 1))
-            return self.connectivity_after >= target
-        return self.connectivity_after >= self.connectivity_before or (
-            self.connectivity_after > 0
-        )
+        target = min(self.k, max(0, len(self.plan.survivors) - 1))
+        return self.connectivity_after >= target
 
 
 def plan_repair(overlay: LHGOverlay, crashed: Iterable[MemberId]) -> RepairPlan:

@@ -42,6 +42,7 @@ from repro.graphs.connectivity import node_connectivity
 from repro.graphs.faultview import FaultView, component_size
 from repro.graphs.graph import Graph
 from repro.graphs.oracle import NeighborOracle, materialize
+from repro.graphs.traversal import eccentricity
 
 NodeId = Hashable
 
@@ -296,19 +297,29 @@ def _check_topology(
             )
         return TopologyVerdict("exact")
     report = check_lhg(graph, k)
+    budget = report.diameter_budget
+    p4 = f"diameter {report.diameter} exceeds budget {budget}"
+    log_diameter = report.log_diameter
+    if log_diameter and not report.exact_diameter:
+        # the double sweep only bounds the diameter from below; one BFS
+        # bounds it from above by 2·ecc(v), which must fit the budget
+        upper = 2 * eccentricity(graph, next(iter(graph.iter_nodes())))
+        log_diameter = upper <= budget
+        p4 = (
+            f"diameter inconclusive: lower bound {report.diameter}, "
+            f"upper bound {upper} exceeds budget {budget}"
+        )
+    holds = {
+        "P1": report.node_connected,
+        "P2": report.link_connected,
+        "P3": report.link_minimal,
+        "P4": log_diameter,
+    }
     violations = TopologyVerdict("exact")
-    for name, ok, detail in (
-        ("P1-node-connectivity", report.node_connected, f"κ < {k}"),
-        ("P2-link-connectivity", report.link_connected, f"λ < {k}"),
-        ("P3-link-minimality", report.link_minimal, "a removable link exists"),
-        (
-            "P4-log-diameter",
-            report.log_diameter,
-            f"diameter {report.diameter} exceeds budget "
-            f"{report.diameter_budget}",
-        ),
-    ):
+    for property_id, ok in holds.items():
         if not ok:
+            name, detail = _PROPERTY_VIOLATIONS[property_id]
+            detail = p4 if property_id == "P4" else detail.format(k=k)
             violations.append(InvariantViolation(name, f"{detail} at n={n}"))
     return violations
 

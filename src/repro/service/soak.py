@@ -289,27 +289,19 @@ class SoakReport:
         """Aggregate per-tick records into the SLO report."""
         tracker = SLOTracker()
         monitor = BurnRateMonitor(config.k, alert_policy)
-        joins = crashes = 0
-        repairs = emergencies = restarts = edge_work = 0
         for record in records:
             feed_slo_tracker(tracker, record)
             monitor.observe(record)
-            joins += len(record["joins"])
-            crashes += len(record["crashes"])
-            repair = record.get("repair")
-            if repair is not None and repair.get("completed"):
-                repairs += 1
-                edge_work += repair["edge_work"]
-                restarts += repair["restarts"]
-                if repair["emergency"]:
-                    emergencies += 1
+
+        def count(name: str) -> int:
+            return int(tracker.counter(name))
 
         latency = tracker.latency_percentiles()
         latency_hist = tracker.registry.histograms.get("soak.flood.latency")
         amp_hist = tracker.registry.histograms.get("soak.flood.amplification")
         conv_hist = tracker.registry.histograms.get("soak.repair.convergence")
-        completed = int(tracker.counter("soak.floods.completed"))
-        shed = int(tracker.counter("soak.floods.shed"))
+        completed = count("soak.floods.completed")
+        shed = count("soak.floods.shed")
         window_dicts = [w.as_dict() for w in windows]
         degraded_ticks = sum(w.ticks for w in windows if w.ticks is not None)
 
@@ -342,7 +334,7 @@ class SoakReport:
             "floods": {
                 "completed": completed,
                 "shed": shed,
-                "partial": int(tracker.counter("soak.floods.partial")),
+                "partial": count("soak.floods.partial"),
                 "shed_fraction": (
                     shed / (completed + shed) if (completed + shed) else 0.0
                 ),
@@ -350,10 +342,10 @@ class SoakReport:
             "latency": {**latency, **_hist_summary(latency_hist)},
             "amplification": _hist_summary(amp_hist),
             "repair": {
-                "episodes": repairs,
-                "emergency": emergencies,
-                "restarts": restarts,
-                "edge_work_total": edge_work,
+                "episodes": count("soak.repairs.completed"),
+                "emergency": count("soak.repairs.emergency"),
+                "restarts": count("soak.repairs.restarts"),
+                "edge_work_total": count("soak.repairs.edge_work"),
                 "convergence": _hist_summary(conv_hist),
             },
             "degradation": {
@@ -364,10 +356,13 @@ class SoakReport:
             },
             "alerts": monitor.payload(),
             "verify": {
-                "runs": int(tracker.counter("soak.verify.runs")),
-                "failures": int(tracker.counter("soak.verify.failures")),
+                "runs": count("soak.verify.runs"),
+                "failures": count("soak.verify.failures"),
             },
-            "churn": {"joins": joins, "crashes": crashes},
+            "churn": {
+                "joins": count("soak.churn.joins"),
+                "crashes": count("soak.churn.crashes"),
+            },
             "population": {
                 "initial": config.population,
                 "final": records[-1]["population"] if records else config.population,

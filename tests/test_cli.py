@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 import os
 
@@ -116,6 +117,35 @@ class TestSoak:
             == 0
         )
         assert capsys.readouterr().out == first
+
+
+class TestScale:
+    """``repro scale`` at 20k with every stage on, pinned by digest.
+
+    Peak RSS is the only field that depends on the host; everything else
+    (certificates, CSR size, the flood, all 13 attack rows) is pinned.
+    """
+
+    ARGV = ["scale", "20000", "3", "--csr", "--flood", "--attack"]
+
+    def test_json_report_is_pinned(self, capsys):
+        assert main(self.ARGV + ["--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report.pop("peak_rss_bytes") > 0
+        digest = hashlib.sha256(json.dumps(report).encode()).hexdigest()
+        assert digest == (
+            "45b64f9b2181d40d135cd0589783425b8bc18a4f2ee7105364c75c0ef89af770"
+        )
+
+    def test_text_report_is_pinned(self, capsys):
+        assert main(self.ARGV) == 0
+        lines = capsys.readouterr().out.splitlines(True)
+        assert sum("peak RSS" in line for line in lines) == 1
+        text = "".join(line for line in lines if "peak RSS" not in line)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == (
+            "9ab27b63c7bbb309bd4a39cc932c66211ad330f1a7f3c7766072f298447bd5ad"
+        )
 
 
 class TestTables:

@@ -101,3 +101,59 @@ class TestScaleOracle:
             label = oracle.label_of(node_id)
             expected = {oracle.id_of(v) for v in graph.neighbors(label)}
             assert set(oracle.neighbors(node_id)) == expected
+
+
+class TestScalePipeline:
+    """``run_scale``: one staged run, timed by spans that change nothing."""
+
+    N, K = 5000, 3
+
+    def test_collector_is_passive_and_sees_every_stage(self):
+        from repro import obs
+        from repro.robustness.scale import run_scale
+
+        plain = run_scale(self.N, self.K, csr=True, flood=True, attack=True)
+        collector = obs.install()
+        try:
+            traced = run_scale(self.N, self.K, csr=True, flood=True, attack=True)
+        finally:
+            obs.uninstall()
+        traced.report.pop("peak_rss_bytes")
+        plain.report.pop("peak_rss_bytes")
+        assert traced.report == plain.report
+
+        names = [span["name"] for span in obs.iter_spans(collector.events)]
+        plans = len(plain.attacks)
+        assert plans == len(plain.report["attacks"]) > 0
+        assert sorted(set(names)) == [
+            "csr.compile",
+            "scale.attack.flood",
+            "scale.attack.recertify",
+            "scale.attacks.derive",
+            "scale.build",
+            "scale.certify",
+            "scale.flood",
+        ]
+        assert names.count("scale.attack.flood") == plans
+        assert names.count("scale.attack.recertify") == plans
+
+    def test_attack_records_match_the_report(self):
+        from repro.robustness.scale import run_scale
+
+        run = run_scale(self.N, self.K, attack=True)
+        assert run.csr is None and run.flood is None and run.green
+        for record, row in zip(run.attacks, run.report["attacks"]):
+            plan, source, flood, view, violations = record
+            assert row["attack"] == plan.name and violations == []
+            assert view.damage == row["damage"] == plan.damage
+            assert (flood.source, flood.covered) == (source, row["covered"])
+
+    def test_flags_select_stages(self):
+        from repro.robustness.scale import run_scale
+
+        run = run_scale(self.N, self.K)
+        assert (run.csr, run.flood, run.attacks) == (None, None, [])
+        assert "csr_bytes" not in run.report and "attacks" not in run.report
+        flooded = run_scale(self.N, self.K, flood=True)  # --flood implies a CSR
+        assert flooded.report["csr_bytes"] == flooded.csr.nbytes()
+        assert flooded.flood.covered == self.N

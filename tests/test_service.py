@@ -151,6 +151,36 @@ class TestTopologyInvariants:
         empty = Graph()
         assert check_topology_invariants(empty, 3) == []
 
+    # above check_lhg's exact_diameter_limit (2000 nodes) the diameter is a
+    # double-sweep lower bound: P4 may pass only under a proved upper bound
+
+    @staticmethod
+    def _p4(graph):
+        return [
+            v for v in check_topology_invariants(graph, 3)
+            if v.invariant == "P4-log-diameter"
+        ]
+
+    def test_under_reported_diameter_is_inconclusive(self, monkeypatch):
+        from repro.core import properties
+        from repro.graphs.generators.classic import cycle_graph
+
+        monkeypatch.setattr(properties, "approximate_diameter", lambda g: 1)
+        [p4] = self._p4(cycle_graph(2101))  # diameter 1050, budget 48
+        assert "inconclusive" in p4.detail
+        assert "upper bound 2100 exceeds budget 48" in p4.detail
+
+    def test_lower_bound_over_budget_is_a_violation(self):
+        from repro.graphs.generators.classic import cycle_graph
+
+        [p4] = self._p4(cycle_graph(2101))
+        assert p4.detail == "diameter 1050 exceeds budget 48 at n=2101"
+
+    def test_upper_bound_within_budget_proves_p4(self):
+        from repro.graphs.generators.classic import star_graph
+
+        assert self._p4(star_graph(2101)) == []
+
 
 class TestSoakConfig:
     def test_rejects_sub_lhg_population(self):
