@@ -25,17 +25,18 @@ tests additionally pin the *exact* diameters of the constructions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
 from repro.graphs.connectivity import is_k_edge_connected, is_k_node_connected
-from repro.graphs.minimality import (
-    has_degree_witness_minimality,
-    is_link_minimal,
-)
+from repro.graphs.minimality import is_redundant_edge
 from repro.graphs.properties import is_k_regular, logarithmic_diameter_bound
-from repro.graphs.traversal import approximate_diameter, diameter, is_connected
+from repro.graphs.traversal import (
+    approximate_diameter,
+    diameter,
+    eccentricity,
+    is_connected,
+)
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,10 @@ class LHGReport:
     """Outcome of an LHG property check.
 
     ``diameter`` is exact when computed exhaustively, otherwise the
-    double-sweep lower bound (``exact_diameter`` says which).
+    double-sweep lower bound (``exact_diameter`` says which);
+    ``diameter_upper`` is the matching upper bound (equal to
+    ``diameter`` when exact), and ``log_diameter`` holds only when it
+    fits ``diameter_budget``.
     """
 
     n: int
@@ -56,6 +60,7 @@ class LHGReport:
     diameter: int
     diameter_budget: int
     exact_diameter: bool
+    diameter_upper: int
 
     @property
     def is_lhg(self) -> bool:
@@ -84,12 +89,7 @@ class LHGReport:
         )
 
 
-def check_lhg(
-    graph: Graph,
-    k: int,
-    exact_diameter_limit: int = 2000,
-    minimality_exact: Optional[bool] = None,
-) -> LHGReport:
+def check_lhg(graph: Graph, k: int, exact_diameter_limit: int = 2000) -> LHGReport:
     """Evaluate Properties 1–5 for ``graph`` at connectivity level ``k``.
 
     P2 is read off P1 when P1 holds: Whitney's inequality κ(G) ≤ λ(G)
@@ -97,16 +97,20 @@ def check_lhg(
     edge-flow sweep runs only for graphs that fail P1, where λ ≥ k may
     still hold with κ < k.
 
-    Parameters
-    ----------
-    exact_diameter_limit:
-        Up to this many nodes the diameter is computed exactly (all-BFS);
-        beyond it the double-sweep estimate is used, which on these
-        constructions is empirically exact and never overshoots.
-    minimality_exact:
-        Force (``True``) or forbid (``False``) the exhaustive P3 check.
-        Default: try the sound degree-witness fast path first and fall
-        back to the exhaustive check only for small graphs.
+    P3 is decided exactly at every n by the local-cut lemma
+    (:func:`repro.graphs.minimality.is_redundant_edge`): a k-connected
+    graph is minimal iff no edge uv has κ_{G−uv}(u, v) ≥ k.  An edge with
+    an endpoint of degree k needs no flow, so the constructions — every
+    edge touches a degree-k node — cost one degree probe per edge.  A
+    graph that fails P1 has no k-connectivity to lose and counts as
+    minimal.
+
+    P4 holds when an *upper* bound on the diameter fits the budget.  Up
+    to ``exact_diameter_limit`` nodes the diameter is computed exactly
+    (all-BFS); beyond it the report carries the double-sweep lower bound
+    and the upper bound 2·ecc(v) of one BFS (the triangle inequality
+    through v), so a P4 pass is always proved and a lower bound over the
+    budget is always a proved failure.
 
     Raises
     ------
@@ -121,29 +125,20 @@ def check_lhg(
 
     node_conn = is_k_node_connected(graph, k)
     link_conn = node_conn or is_k_edge_connected(graph, k)
+    minimal = not node_conn or not any(
+        is_redundant_edge(graph, u, v, k) for u, v in graph.iter_edges()
+    )
 
-    if minimality_exact is None:
-        minimal = has_degree_witness_minimality(graph, k)
-        if not minimal and n <= 400:
-            minimal = is_link_minimal(graph, k)
-    elif minimality_exact:
-        minimal = is_link_minimal(graph, k)
+    connected = is_connected(graph)
+    exact = not connected or n <= exact_diameter_limit
+    if not connected:
+        diam = upper = n  # infinite, represented as the vacuous worst case
+    elif exact:
+        diam = upper = diameter(graph)
     else:
-        minimal = has_degree_witness_minimality(graph, k)
-
-    if is_connected(graph):
-        if n <= exact_diameter_limit:
-            diam = diameter(graph)
-            exact = True
-        else:
-            diam = approximate_diameter(graph)
-            exact = False
-    else:
-        diam = n  # infinite, represented as the vacuous worst case
-        exact = True
-
+        diam = approximate_diameter(graph)
+        upper = 2 * eccentricity(graph, next(iter(graph.iter_nodes())))
     budget = logarithmic_diameter_bound(n, k) if n >= 2 else 0
-    log_diam = is_connected(graph) and diam <= budget
 
     return LHGReport(
         n=n,
@@ -151,11 +146,12 @@ def check_lhg(
         node_connected=node_conn,
         link_connected=link_conn,
         link_minimal=minimal,
-        log_diameter=log_diam,
+        log_diameter=connected and upper <= budget,
         k_regular=is_k_regular(graph, k),
         diameter=diam,
         diameter_budget=budget,
         exact_diameter=exact,
+        diameter_upper=upper,
     )
 
 

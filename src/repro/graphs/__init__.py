@@ -81,7 +81,7 @@ from repro.graphs.connectivity import (
 from repro.graphs.minimality import (
     has_degree_witness_minimality,
     is_link_minimal,
-    minimality_report,
+    is_redundant_edge,
     redundant_edges,
 )
 from repro.graphs.properties import (
@@ -127,13 +127,13 @@ __all__ = [
     "is_k_node_connected",
     "is_k_regular",
     "is_link_minimal",
+    "is_redundant_edge",
     "link_weights_from_seed",
     "local_clustering",
     "local_edge_connectivity",
     "local_node_connectivity",
     "logarithmic_diameter_bound",
     "materialize",
-    "minimality_report",
     "minimum_edge_cut",
     "minimum_node_cut",
     "node_connectivity",

@@ -14,8 +14,8 @@ node *down-set* and an undirected edge *kill-set*, and re-exposes the
 subtracted on the fly:
 
 * ``neighbors(v)`` filters down neighbours and killed links from the
-  base answer (O(deg) with O(1) membership probes — the down mask is a
-  ``bytearray`` when the base has dense int ids);
+  base answer (O(deg) with O(1) set-membership probes; the view holds
+  no per-node state, only the damage itself);
 * ``num_nodes`` / ``number_of_edges`` are exact, computed once from
   the damage at construction time;
 * down nodes are *not* nodes of the view: ``neighbors``/``degree``
@@ -94,7 +94,7 @@ class FaultView:
         dropped from the kill-set so the edge accounting stays exact.
     """
 
-    __slots__ = ("base", "name", "down_nodes", "killed_links", "id_bound", "_mask")
+    __slots__ = ("base", "name", "down_nodes", "killed_links", "id_bound")
 
     def __init__(
         self,
@@ -121,13 +121,6 @@ class FaultView:
                 killed.add(edge_key(u, v))
         self.killed_links: FrozenSet[frozenset] = frozenset(killed)
         self.id_bound = id_bound(base)
-        if self.id_bound is not None:
-            mask = bytearray(self.id_bound)
-            for v in sorted(down):
-                mask[v] = 1
-            self._mask = mask
-        else:
-            self._mask = None
 
     # ------------------------------------------------------------------
     # NeighborOracle surface
@@ -151,14 +144,8 @@ class FaultView:
         """
         if not self.has_node(node):
             raise NodeNotFoundError(node)
-        mask = self._mask
-        if mask is not None:
-            out = [w for w in self.base.neighbors(node) if not mask[w]]
-        elif self.down_nodes:
-            down = self.down_nodes
-            out = [w for w in self.base.neighbors(node) if w not in down]
-        else:
-            out = list(self.base.neighbors(node))
+        down = self.down_nodes
+        out = [w for w in self.base.neighbors(node) if w not in down]
         if self.killed_links:
             killed = self.killed_links
             out = [w for w in out if edge_key(node, w) not in killed]

@@ -5,25 +5,49 @@ reduces its link or node connectivity: no edge is redundant, so the
 flooding message bill (proportional to the edge count) is as small as it
 can be for the chosen fault-tolerance level.
 
-Two checkers are provided:
+One exact decision, the *local-cut lemma*: in a k-connected graph G,
+G − uv is still k-connected iff κ_{G−uv}(u, v) ≥ k.  (A separator S of
+G − uv with |S| < k does not separate G, so the edge uv must cross it:
+S separates u from v in G − uv.)  :func:`is_redundant_edge` applies it
+to one edge — an endpoint of degree k already decides "not redundant",
+otherwise one max-flow on the pair network of G − uv does — and
+:func:`is_link_minimal`, :func:`redundant_edges` and
+:func:`repro.core.properties.check_lhg` all decide P3 through it.
 
-* :func:`is_link_minimal` — exact but expensive: recomputes connectivity
-  with each edge removed in turn (O(m) connectivity runs).
-* :func:`has_degree_witness_minimality` — a sound fast path: if the
-  graph is exactly k-connected and **every edge touches a node of
-  degree k**, then deleting that edge leaves its endpoint with degree
-  k − 1, forcing λ ≤ k − 1 < k.  All the constructions in this library
-  satisfy the witness, so verifying large instances stays cheap; the
-  exact checker cross-validates the fast path in the test suite.
+:func:`has_degree_witness_minimality` states the structural fact the
+constructions satisfy: every edge touches a node of degree k, so no
+edge needs a flow at all.  It is sufficient, never necessary — two
+cycles joined by two disjoint edges are minimal at k = 2, yet both
+joining edges link degree-3 nodes — so the construction tests assert
+it, and no verdict rests on it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.errors import GraphError
-from repro.graphs.graph import Edge, Graph
-from repro.graphs.connectivity import is_k_node_connected, node_connectivity
+from repro.graphs.graph import Edge, Graph, Node
+from repro.graphs.connectivity import (
+    is_k_node_connected,
+    local_node_connectivity,
+    node_connectivity,
+)
+
+
+def is_redundant_edge(graph: Graph, u: Node, v: Node, k: int) -> bool:
+    """Return ``True`` if G − uv is still k-connected, for a k-connected G.
+
+    By the local-cut lemma (module docstring) this holds iff
+    κ_{G−uv}(u, v) ≥ k, i.e. κ_G(u, v) > k: the pair network of
+    :func:`local_node_connectivity` leaves uv out and counts it back as
+    one path.  An endpoint of degree ≤ k decides ``False`` without a
+    flow.  The answer is only meaningful when ``graph`` is
+    k-node-connected.
+    """
+    if graph.degree(u) <= k or graph.degree(v) <= k:
+        return False
+    return local_node_connectivity(graph, u, v, cutoff=k + 1) > k
 
 
 def is_link_minimal(graph: Graph, k: Optional[int] = None) -> bool:
@@ -34,58 +58,38 @@ def is_link_minimal(graph: Graph, k: Optional[int] = None) -> bool:
     k:
         The connectivity level to check against.  If omitted it is the
         graph's own node connectivity κ, which equals min(κ, λ) by
-        Whitney's inequality κ ≤ λ.
-
-    Notes
-    -----
-    Exact but O(m) connectivity computations; intended for tests and
-    small-to-medium graphs.  Use :func:`has_degree_witness_minimality`
-    for the large sweeps.
+        Whitney's inequality κ ≤ λ.  A graph that is not k-connected
+        has no k-connectivity to lose and counts as minimal.
     """
     if graph.number_of_edges() == 0:
         return True
     if k is None:
         k = node_connectivity(graph)
-    if k == 0:
-        # A disconnected graph cannot lose connectivity it does not have.
-        return False
-    for u, v in graph.edges():
-        reduced = graph.without_edges([(u, v)])
-        # κ ≥ k implies λ ≥ k (Whitney), so the node test alone decides
-        if is_k_node_connected(reduced, k):
-            return False
-    return True
+    return k != 0 and not redundant_edges(graph, k)
 
 
 def redundant_edges(graph: Graph, k: Optional[int] = None) -> List[Edge]:
     """Return every edge whose removal leaves the graph k-connected.
 
-    An empty result means the graph is link-minimal.  Useful in tests to
-    pinpoint which edge violates Property 3.
+    An empty result means the graph is link-minimal (or not k-connected
+    in the first place).  Useful in tests to pinpoint which edge
+    violates Property 3.
     """
     if k is None:
         k = node_connectivity(graph)
-    extras: List[Edge] = []
-    if k == 0:
-        return extras
-    for u, v in graph.edges():
-        reduced = graph.without_edges([(u, v)])
-        if is_k_node_connected(reduced, k):
-            extras.append((u, v))
-    return extras
+    if k == 0 or not is_k_node_connected(graph, k):
+        return []
+    return [(u, v) for u, v in graph.edges() if is_redundant_edge(graph, u, v, k)]
 
 
 def has_degree_witness_minimality(graph: Graph, k: int) -> bool:
-    """Sound fast-path minimality check via degree witnesses.
+    """Return ``True`` if every edge has an endpoint of degree exactly ``k``.
 
-    Returns ``True`` if every edge has at least one endpoint of degree
-    exactly ``k``.  Combined with the graph being k-connected this
-    *implies* link minimality: removing such an edge leaves a node of
-    degree k − 1, and since λ(G) ≤ min-degree, the link connectivity
-    falls below k.
-
-    A ``False`` answer is inconclusive (the graph may still be minimal);
-    fall back to :func:`is_link_minimal` in that case.
+    Combined with the graph being k-connected this *implies* link
+    minimality: removing such an edge leaves a node of degree k − 1,
+    and since λ(G) ≤ min-degree, the link connectivity falls below k.
+    A ``False`` answer proves nothing (the graph may still be minimal);
+    :func:`is_link_minimal` decides.
 
     Raises
     ------
@@ -98,17 +102,6 @@ def has_degree_witness_minimality(graph: Graph, k: int) -> bool:
     return all(
         degrees[u] == k or degrees[v] == k for u, v in graph.iter_edges()
     )
-
-
-def minimality_report(graph: Graph, k: int) -> Tuple[bool, str]:
-    """Return ``(is_minimal, how)`` using the cheapest sufficient method.
-
-    ``how`` is ``"degree-witness"`` when the fast path decided, or
-    ``"exhaustive"`` when each edge had to be tested individually.
-    """
-    if has_degree_witness_minimality(graph, k):
-        return True, "degree-witness"
-    return is_link_minimal(graph, k), "exhaustive"
 
 
 def excess_edges_over_harary_bound(graph: Graph, k: int) -> int:

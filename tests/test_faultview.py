@@ -215,6 +215,19 @@ class TestSurvivorsLaziness:
         assert isinstance(view, FaultView)
         assert view.num_nodes() == 99
 
+    def test_view_state_is_independent_of_n(self):
+        import tracemalloc
+
+        oracle = ImplicitJDOracle(10**6, 3)
+        tracemalloc.start()
+        try:
+            view = FaultView(oracle, [0, 1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert view.id_bound == 10**6
+        assert peak < 64 * 1024
+
 
 class TestCensusParityWithMaterialisedSurvivors:
     """FaultView must be indistinguishable from the materialised cut."""

@@ -13,6 +13,10 @@ from repro.graphs.generators.classic import (
     star_graph,
 )
 from repro.graphs.generators.harary import harary_graph
+from repro.graphs.minimality import (
+    has_degree_witness_minimality,
+    is_link_minimal,
+)
 from repro.graphs.traversal import diameter
 
 
@@ -81,21 +85,38 @@ class TestNegativeCases:
 
 class TestCheckerOptions:
     def test_exact_minimality_forced(self):
+        # P3 is decided exactly: it agrees with the exhaustive check
         g = complete_graph(5)
-        report = check_lhg(g, 4, minimality_exact=True)
-        assert report.link_minimal
+        assert check_lhg(g, 4).link_minimal
+        assert is_link_minimal(g, 4)
 
     def test_fast_minimality_only_may_be_conservative(self):
+        # degree witness: every edge endpoint has degree 4 = k, so no
+        # flow runs and the fast predicate agrees with the report
         g = complete_graph(5)
-        # degree witness: every edge endpoint has degree 4 = k, so True
-        report = check_lhg(g, 4, minimality_exact=False)
-        assert report.link_minimal
+        assert has_degree_witness_minimality(g, 4)
+        assert check_lhg(g, 4).link_minimal
 
     def test_sampled_diameter_beyond_limit(self):
         graph, _ = build_lhg(120, 3)
         report = check_lhg(graph, 3, exact_diameter_limit=50)
         assert not report.exact_diameter
-        assert report.diameter <= diameter(graph)
+        assert report.diameter <= diameter(graph) <= report.diameter_upper
+        assert report.log_diameter
+
+    def test_exact_diameter_is_its_own_upper_bound(self):
+        graph, _ = build_lhg(120, 3)
+        report = check_lhg(graph, 3)
+        assert report.exact_diameter
+        assert report.diameter == report.diameter_upper == diameter(graph)
+
+    def test_under_reported_lower_bound_cannot_pass_p4(self, monkeypatch):
+        from repro.core import properties
+
+        monkeypatch.setattr(properties, "approximate_diameter", lambda g: 1)
+        report = check_lhg(cycle_graph(2101), 3)  # diameter 1050, budget 48
+        assert (report.diameter, report.diameter_upper) == (1, 2100)
+        assert not report.log_diameter
 
     def test_domain_checks(self):
         with pytest.raises(GraphError):

@@ -18,7 +18,7 @@ from repro.graphs.minimality import (
     excess_edges_over_harary_bound,
     has_degree_witness_minimality,
     is_link_minimal,
-    minimality_report,
+    is_redundant_edge,
     redundant_edges,
 )
 
@@ -76,16 +76,6 @@ class TestDegreeWitness:
     def test_invalid_k_rejected(self):
         with pytest.raises(GraphError):
             has_degree_witness_minimality(cycle_graph(4), 0)
-
-    def test_report_prefers_fast_path(self):
-        minimal, how = minimality_report(cycle_graph(8), 2)
-        assert minimal and how == "degree-witness"
-
-    def test_report_falls_back(self):
-        g = cycle_graph(6)
-        g.add_edge(0, 3)
-        minimal, how = minimality_report(g, 2)
-        assert not minimal and how == "exhaustive"
 
 
 class TestHararyBound:
@@ -169,3 +159,87 @@ class TestWhitneyShortcut:
         default = redundant_edges(graph)
         old_level = _old_level(graph)
         assert default == (_old_redundant(graph, old_level) if old_level else [])
+
+
+def _two_cycles(size, gap):
+    """Two ``size``-cycles joined by the disjoint edges a0–b0 and a_gap–b_gap.
+
+    Minimal at k = 2, yet both joining edges link degree-3 nodes, so
+    the degree witness fails on them.
+    """
+    graph = cycle_graph(size)
+    for u, v in cycle_graph(size).edges():
+        graph.add_edge(size + u, size + v)
+    graph.add_edge(0, size)
+    graph.add_edge(gap, size + gap)
+    return graph
+
+
+GNP_CORPUS = [
+    gnp_random_graph(4 + seed % 11, (0.3, 0.45, 0.6, 0.75)[seed % 4], seed=1000 + seed)
+    for seed in range(60)
+]
+
+
+class TestLocalCutLemma:
+    """P3 decided per edge by κ_{G−uv}(u, v) ≥ k, against the exhaustive loop."""
+
+    def test_gnp_corpus_matches_exhaustive_loop(self):
+        mismatches = []
+        kept = removable = 0  # per-edge verdicts on k-connected graphs
+        for index, graph in enumerate(GNP_CORPUS):
+            for k in (None, 1, 2, 3, 4):
+                if is_link_minimal(graph, k) != _old_is_link_minimal(graph, k):
+                    mismatches.append((index, k, "is_link_minimal"))
+                if k is None:
+                    continue
+                extras = redundant_edges(graph, k)
+                if extras != _old_redundant(graph, k):
+                    mismatches.append((index, k, "redundant_edges"))
+                if is_k_node_connected(graph, k):
+                    removable += len(extras)
+                    kept += graph.number_of_edges() - len(extras)
+        assert mismatches == []
+        assert kept and removable
+
+    def test_construction_census_matches_exhaustive_loop(self):
+        from repro.core.existence import RULES, build_lhg, exists
+
+        checked = 0
+        for k in range(2, 7):
+            for n in range(2 * k, 31):
+                for rule in RULES:
+                    if not exists(n, k, rule):
+                        continue
+                    graph, _ = build_lhg(n, k, rule=rule)
+                    assert redundant_edges(graph, k) == _old_redundant(graph, k) == []
+                    assert check_lhg(graph, k).link_minimal
+                    checked += 1
+        assert checked > 200
+
+    def test_degree_k_endpoint_needs_no_flow(self, monkeypatch):
+        import repro.graphs.minimality as minimality
+
+        def no_flow(*args, **kwargs):
+            raise AssertionError("flow run for an edge with a degree-k endpoint")
+
+        monkeypatch.setattr(minimality, "local_node_connectivity", no_flow)
+        graph = harary_graph(4, 12)
+        assert not any(is_redundant_edge(graph, u, v, 4) for u, v in graph.edges())
+
+    def test_two_cycles_above_the_old_cutoff_are_minimal(self):
+        from repro.robustness import check_topology_invariants
+
+        graph = _two_cycles(201, 100)
+        assert graph.number_of_nodes() == 402
+        assert not has_degree_witness_minimality(graph, 2)
+        assert check_lhg(graph, 2).link_minimal
+        assert check_topology_invariants(graph, 2) == []
+
+    def test_two_cycles_match_exhaustive_loop(self):
+        graph = _two_cycles(7, 3)
+        assert redundant_edges(graph, 2) == _old_redundant(graph, 2) == []
+        graph.add_edge(1, 8)  # a third join makes the joins and the 0-1-8-7 square removable
+        assert redundant_edges(graph, 2) == _old_redundant(graph, 2) == [
+            (0, 1), (0, 7), (1, 8), (3, 10), (7, 8)
+        ]

@@ -130,6 +130,18 @@ class TestInvariantCheckers:
         )
         assert check_no_dead_delivery(record) is None
 
+    def test_truncated_trace_is_inconclusive(self):
+        from repro.flooding.trace import TraceCollector
+
+        trace = TraceCollector(limit=2)
+        trace("crash", 1.0, node=5)
+        trace("deliver", 2.0, sender=1, receiver=4)
+        trace("deliver", 3.0, sender=1, receiver=5)  # past the cap
+        violation = check_no_dead_delivery(self._record(trace=trace))
+        assert violation is not None
+        assert violation.invariant == "no-dead-delivery"
+        assert "inconclusive" in violation.detail
+
     def test_retransmission_budget_uses_retry_budget(self):
         class Chatty:
             retransmissions = 11

@@ -97,6 +97,7 @@ class TestPassivity:
                 supervisor=SupervisorConfig(
                     retries=3,
                     seed=7,
+                    timeout=0.75,
                     fault_hook=CrashInjector(rate=0.3, seed=11),
                 ),
             )
@@ -181,7 +182,7 @@ class TestDeterministicOrdering:
                 supervisor=SupervisorConfig(
                     retries=4,
                     seed=3,
-                    timeout=10.0,
+                    timeout=0.75,
                     fault_hook=CrashInjector(rate=0.35, seed=5),
                 ),
             )
@@ -207,7 +208,7 @@ class TestLifecycleEvents:
             supervisor=SupervisorConfig(
                 retries=3,
                 seed=7,
-                timeout=10.0,
+                timeout=0.75,
                 fault_hook=CrashInjector(rate=0.3, seed=11),
             ),
         )
