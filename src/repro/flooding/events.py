@@ -5,6 +5,10 @@ Ordering is ``(time, priority, sequence)``: the sequence number breaks
 ties deterministically in scheduling order, which makes every run
 bit-reproducible for a fixed seed — a hard requirement for the
 experiment harness.
+
+The queue heaps ``(time, priority, sequence, event)`` tuples rather
+than the events themselves: the sequence is unique, so a comparison
+never reaches the event and every heap comparison runs in C.
 """
 
 from __future__ import annotations
@@ -12,12 +16,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SchedulingError
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
     """One scheduled callback.
 
@@ -34,7 +38,8 @@ class Event:
     action:
         Zero-argument callable executed when the event fires.
     label:
-        Debug/trace tag.
+        Debug tag.  The network's per-message and per-timer events use
+        the constant tags ``"msg"`` and ``"timer"``.
     """
 
     time: float
@@ -53,7 +58,7 @@ class EventQueue:
     """A deterministic priority queue of :class:`Event` objects."""
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
 
     def __len__(self) -> int:
@@ -75,26 +80,23 @@ class EventQueue:
         """
         if not (time >= 0):  # also rejects NaN
             raise SchedulingError(f"cannot schedule at time {time!r}")
-        event = Event(
-            time=time,
-            priority=priority,
-            sequence=next(self._counter),
-            action=action,
-            label=label,
-        )
-        heapq.heappush(self._heap, event)
+        sequence = next(self._counter)
+        event = Event(time, priority, sequence, action, label)
+        heapq.heappush(self._heap, (time, priority, sequence, event))
         return event
 
     def pop(self) -> Optional[Event]:
         """Return the next non-cancelled event, or ``None`` when drained."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)[3]
             if not event.cancelled:
                 return event
         return None
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event without removing it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.flooding.network import FAILURE_PRIORITY, RECOVERY_PRIORITY, Network
@@ -375,16 +375,24 @@ def partition(
                 raise SimulationError(f"node {node!r} appears in two groups")
             group_of[node] = index
     schedule = FailureSchedule()
+    cut: Set[frozenset] = set()
     # walk the listed nodes' neighbourhoods instead of enumerating all
-    # edges: works on any NeighborOracle and touches only the groups
+    # edges: works on any NeighborOracle and touches only the groups;
+    # each cut link is met from both ends and kept at the first
     for u, side_u in group_of.items():
         for v in graph.neighbors(u):
             side_v = group_of.get(v)
             if side_v is None or side_u == side_v:
                 continue
-            schedule.fail_link(u, v, time=at)
+            key = edge_key(u, v)
+            if key in cut:
+                continue
+            cut.add(key)
+            schedule.link_failures.append(LinkFailure(time=at, u=u, v=v))
             if heal_at is not None:
-                schedule.restore_link(u, v, time=heal_at)
+                schedule.link_recoveries.append(
+                    LinkRecover(time=heal_at, u=u, v=v)
+                )
     return schedule
 
 
@@ -462,36 +470,35 @@ def random_flapping_links(
 
 def _final_down_nodes(schedule: FailureSchedule) -> Set[NodeId]:
     """Nodes still down once every event of ``schedule`` has fired."""
-    down = set()
-    for node in schedule.crashed_nodes:
-        last_crash = max(c.time for c in schedule.crashes if c.node == node)
-        last_recover = max(
-            (r.time for r in schedule.recoveries if r.node == node), default=None
-        )
-        # ties go to recovery, matching RECOVERY_PRIORITY > FAILURE_PRIORITY
-        if last_recover is None or last_recover < last_crash:
-            down.add(node)
-    return down
+    return _still_down(
+        ((c.node, c.time) for c in schedule.crashes),
+        ((r.node, r.time) for r in schedule.recoveries),
+    )
 
 
 def _final_down_links(schedule: FailureSchedule) -> Set[frozenset]:
     """Links still down once every event of ``schedule`` has fired."""
-    down = set()
-    keys = dict.fromkeys(edge_key(f.u, f.v) for f in schedule.link_failures)
-    for key in keys:
-        last_fail = max(
-            f.time for f in schedule.link_failures if edge_key(f.u, f.v) == key
-        )
-        last_restore = max(
-            (
-                r.time
-                for r in schedule.link_recoveries
-                if edge_key(r.u, r.v) == key
-            ),
-            default=None,
-        )
-        if last_restore is None or last_restore < last_fail:
-            down.add(key)
+    return _still_down(
+        ((edge_key(f.u, f.v), f.time) for f in schedule.link_failures),
+        ((edge_key(r.u, r.v), r.time) for r in schedule.link_recoveries),
+    )
+
+
+def _still_down(
+    downs: Iterable[Tuple[Hashable, float]], ups: Iterable[Tuple[Hashable, float]]
+) -> Set[Hashable]:
+    """The keys whose last down time beats every up time, in one pass each.
+
+    Ties go to recovery, matching RECOVERY_PRIORITY > FAILURE_PRIORITY.
+    """
+    last_down: Dict[Hashable, float] = {}
+    for key, time in downs:
+        if key not in last_down or time > last_down[key]:
+            last_down[key] = time
+    down = set(last_down)
+    for key, time in ups:
+        if key in down and time >= last_down[key]:
+            down.discard(key)
     return down
 
 

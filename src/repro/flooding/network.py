@@ -286,9 +286,13 @@ class Network:
     # ------------------------------------------------------------------
 
     def add_observer(self, observer: Any) -> None:
-        """Register an event observer (e.g. a
-        :class:`~repro.flooding.trace.TraceCollector`).
+        """Register an event observer.
 
+        Two ship with the package: the
+        :class:`~repro.flooding.trace.TraceCollector` debugging record,
+        and the streaming
+        :class:`~repro.robustness.invariants.DeadDeliveryWatch` every
+        chaos campaign cell attaches for its no-dead-delivery check.
         Observers receive ``observer(kind, time, **details)`` calls for
         kinds ``"send"``, ``"deliver"``, ``"drop"``, ``"crash"``,
         ``"recover"``, ``"link-down"`` and ``"link-up"``.  Observation
@@ -467,9 +471,7 @@ class Network:
         for extra in copies:
             if extra < 0:
                 raise SimulationError(f"fault-model delay must be >= 0, got {extra}")
-            self.simulator.schedule_after(
-                delay + extra, deliver, label=f"msg:{sender!r}->{receiver!r}"
-            )
+            self.simulator.schedule_after(delay + extra, deliver, label="msg")
 
     def set_timer(self, node: NodeId, delay: float, tag: Any) -> None:
         """Schedule a protocol timer at ``node``."""
@@ -478,7 +480,7 @@ class Network:
             if self.is_alive(node) and self._protocol is not None:
                 self._protocol.on_timer(node, tag, self._api(node))
 
-        self.simulator.schedule_after(delay, fire, label=f"timer:{node!r}:{tag!r}")
+        self.simulator.schedule_after(delay, fire, label="timer")
 
     def mark_delivered(self, node: NodeId) -> None:
         """Record first payload delivery at ``node`` (protocols call this)."""

@@ -20,6 +20,7 @@ from repro.robustness.campaign import (
     standard_protocols,
 )
 from repro.robustness.invariants import (
+    DeadDeliveryWatch,
     InvariantViolation,
     RunRecord,
     check_invariants,
@@ -46,6 +47,7 @@ __all__ = [
     "AttackPlan",
     "CellResult",
     "ChaosCampaign",
+    "DeadDeliveryWatch",
     "InvariantViolation",
     "ProtocolSpec",
     "ResilienceMatrix",

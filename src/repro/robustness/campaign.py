@@ -32,10 +32,10 @@ from repro.flooding.protocols.arq import ArqProtocol
 from repro.flooding.protocols.reliable import ReliableFloodProtocol
 from repro.flooding.rounds import round_flood
 from repro.flooding.simulator import Simulator
-from repro.flooding.trace import TraceCollector
 from repro.graphs.faultview import FaultView
 from repro.graphs.graph import Graph
 from repro.robustness.invariants import (
+    DeadDeliveryWatch,
     InvariantViolation,
     RunRecord,
     check_invariants,
@@ -438,8 +438,8 @@ class ChaosCampaign:
             setup = scenario.build(graph, source, seed)
             simulator = Simulator()
             network = Network(graph, simulator, fault_model=setup.fault_model)
-            trace = TraceCollector()
-            network.add_observer(trace)
+            watch = DeadDeliveryWatch()
+            network.add_observer(watch)
             apply_schedule(setup.schedule, network, simulator)
             protocol = spec.factory(network, source)
             network.attach(protocol, start_nodes=[source])
@@ -469,7 +469,7 @@ class ChaosCampaign:
             schedule=setup.schedule,
             network=network,
             simulator=simulator,
-            trace=trace,
+            watch=watch,
             protocol=protocol,
             result=result,
             budget_exhausted=budget_exhausted,

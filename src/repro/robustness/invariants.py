@@ -2,18 +2,18 @@
 
 Every campaign run finishes with a battery of checks over the *whole*
 simulation record — the result, the final network/simulator state and
-the full event trace — so a harness bug (a delivery to a dead node, a
-runaway retransmission loop) fails loudly instead of silently skewing a
-resilience matrix:
+a streaming witness that saw every network event — so a harness bug
+(a delivery to a dead node, a runaway retransmission loop) fails
+loudly instead of silently skewing a resilience matrix:
 
 * **coverage** — every node of the survivor component received the
   payload (enforced only for protocols that *guarantee* delivery; for
   best-effort protocols the shortfall is data, not a bug);
 * **quiescence** — the simulator drained its queue naturally (no
   pending events, no exhausted event budget): the protocol terminated;
-* **no-dead-delivery** — replayed from the trace: no ``deliver`` event
-  targets a node inside one of its down windows (inconclusive, hence
-  a violation, when the trace was truncated);
+* **no-dead-delivery** — watched as the run streams by
+  (:class:`DeadDeliveryWatch`): no ``deliver`` event targets a node
+  inside one of its down windows;
 * **retransmission-budget** — the protocol's retransmission counter
   respects its declared per-frame retry budget.
 
@@ -38,7 +38,6 @@ from repro.flooding.failures import FailureSchedule
 from repro.flooding.metrics import FloodResult
 from repro.flooding.network import Network, Protocol
 from repro.flooding.simulator import Simulator
-from repro.flooding.trace import TraceCollector
 from repro.graphs.connectivity import node_connectivity
 from repro.graphs.faultview import FaultView, component_size
 from repro.graphs.graph import Graph
@@ -58,6 +57,36 @@ class InvariantViolation:
         return f"{self.invariant}: {self.detail}"
 
 
+class DeadDeliveryWatch:
+    """Streaming no-dead-delivery witness: a network observer.
+
+    Attach it with :meth:`~repro.flooding.network.Network.add_observer`.
+    It tracks the set of down nodes from the ``crash`` / ``recover``
+    notifications and keeps the first ``deliver`` to a node in that
+    set as :attr:`violation`.  The network is supposed to drop such
+    messages, so a hit means the harness itself is broken.  Every event
+    is checked as it happens and nothing is stored, so no event cap
+    can cut the check short.
+    """
+
+    def __init__(self) -> None:
+        self.down: Set[NodeId] = set()
+        self.violation: Optional[InvariantViolation] = None
+
+    def __call__(self, kind: str, time: float, **details) -> None:
+        if kind == "deliver":
+            receiver = details["receiver"]
+            if receiver in self.down and self.violation is None:
+                self.violation = InvariantViolation(
+                    "no-dead-delivery",
+                    f"delivery to crashed node {receiver!r} at t={time}",
+                )
+        elif kind == "crash":
+            self.down.add(details["node"])
+        elif kind == "recover":
+            self.down.discard(details["node"])
+
+
 @dataclass
 class RunRecord:
     """Everything one campaign run leaves behind for the checkers."""
@@ -67,7 +96,7 @@ class RunRecord:
     schedule: FailureSchedule
     network: Network
     simulator: Simulator
-    trace: TraceCollector
+    watch: DeadDeliveryWatch
     protocol: Protocol
     result: FloodResult
     budget_exhausted: bool = False
@@ -100,32 +129,12 @@ def check_quiescence(record: RunRecord) -> Optional[InvariantViolation]:
 
 
 def check_no_dead_delivery(record: RunRecord) -> Optional[InvariantViolation]:
-    """No trace ``deliver`` event targets a currently-down node.
+    """No ``deliver`` event targeted a currently-down node.
 
-    Replays the trace in order, tracking each node's down windows from
-    its own ``crash`` / ``recover`` events — the network is supposed to
-    drop these messages, so a hit means the harness itself is broken.
-    A trace that hit its ``limit`` stored only a prefix of the run, so
-    a clean replay of it is reported as inconclusive, not as a pass.
+    The verdict of the record's :class:`DeadDeliveryWatch`, which saw
+    every event of the run.
     """
-    down: Set[NodeId] = set()
-    for event in record.trace.events:
-        if event.kind == "crash":
-            down.add(event.node)
-        elif event.kind == "recover":
-            down.discard(event.node)
-        elif event.kind == "deliver" and event.receiver in down:
-            return InvariantViolation(
-                "no-dead-delivery",
-                f"delivery to crashed node {event.receiver!r} at t={event.time}",
-            )
-    if record.trace.truncated:
-        return InvariantViolation(
-            "no-dead-delivery",
-            f"inconclusive: {record.trace.truncated} events past the trace "
-            f"limit of {record.trace.limit} were not stored",
-        )
-    return None
+    return record.watch.violation
 
 
 def check_retransmission_budget(record: RunRecord) -> Optional[InvariantViolation]:

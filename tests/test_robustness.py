@@ -1,11 +1,14 @@
 """Tests for the chaos campaign engine (scenarios, invariants, matrix)."""
 
+import sys
+
 import pytest
 
 from repro.core.existence import build_lhg
 from repro.errors import SimulationError
 from repro.robustness import (
     ChaosCampaign,
+    DeadDeliveryWatch,
     ProtocolSpec,
     check_no_dead_delivery,
     check_quiescence,
@@ -87,18 +90,16 @@ class TestScenarios:
 
 class TestInvariantCheckers:
     def _record(self, trace_events=(), **kwargs):
-        from repro.flooding.trace import TraceCollector
-
-        trace = TraceCollector()
+        watch = DeadDeliveryWatch()
         for kind, time, details in trace_events:
-            trace(kind, time, **details)
+            watch(kind, time, **details)
         defaults = dict(
             graph=None,
             source=0,
             schedule=None,
             network=None,
             simulator=None,
-            trace=trace,
+            watch=watch,
             protocol=object(),
             result=None,
         )
@@ -130,17 +131,28 @@ class TestInvariantCheckers:
         )
         assert check_no_dead_delivery(record) is None
 
-    def test_truncated_trace_is_inconclusive(self):
-        from repro.flooding.trace import TraceCollector
-
-        trace = TraceCollector(limit=2)
-        trace("crash", 1.0, node=5)
-        trace("deliver", 2.0, sender=1, receiver=4)
-        trace("deliver", 3.0, sender=1, receiver=5)  # past the cap
-        violation = check_no_dead_delivery(self._record(trace=trace))
+    def test_dead_delivery_past_100k_events_detected(self):
+        # the watch stores nothing, so no event cap can hide a late hit
+        watch = DeadDeliveryWatch()
+        watch("crash", 1.0, node=5)
+        for step in range(100_001):
+            watch("deliver", 2.0, sender=1, receiver=step % 4)
+        watch("deliver", 3.0, sender=1, receiver=5)
+        violation = check_no_dead_delivery(self._record(watch=watch))
         assert violation is not None
         assert violation.invariant == "no-dead-delivery"
-        assert "inconclusive" in violation.detail
+        assert violation.detail == "delivery to crashed node 5 at t=3.0"
+
+    def test_first_dead_delivery_is_kept(self):
+        record = self._record(
+            trace_events=[
+                ("crash", 1.0, {"node": 5}),
+                ("crash", 1.0, {"node": 6}),
+                ("deliver", 2.0, {"sender": 1, "receiver": 6}),
+                ("deliver", 3.0, {"sender": 1, "receiver": 5}),
+            ]
+        )
+        assert "node 6 at t=2.0" in check_no_dead_delivery(record).detail
 
     def test_retransmission_budget_uses_retry_budget(self):
         class Chatty:
@@ -232,6 +244,29 @@ class TestCampaign:
         matrix = campaign.run()
         assert matrix.all_green
         assert matrix.cells[0].protocol == "plain-flood"
+
+    def test_watch_sees_a_sabotaged_network(self, monkeypatch):
+        # Only the delivery-time liveness check is broken: a message to a
+        # crashed receiver is handed over instead of dropped, and the
+        # watch the cell attached must report it.
+        from repro.flooding.network import Network
+
+        alive = Network.is_alive
+
+        def sabotaged(network, node):
+            if sys._getframe(1).f_code.co_name == "deliver":
+                return True
+            return alive(network, node)
+
+        graph, campaign = small_grid(
+            scenarios=[s for s in standard_scenarios() if s.name == "crash-recover"]
+        )
+        spec = next(p for p in campaign.protocols if p.guarantees_delivery)
+        (scenario,) = campaign.scenarios
+        assert campaign.run_cell(graph.name, graph, spec, scenario, 0).ok
+        monkeypatch.setattr(Network, "is_alive", sabotaged)
+        cell = campaign.run_cell(graph.name, graph, spec, scenario, 0)
+        assert any(v.startswith("no-dead-delivery: ") for v in cell.violations)
 
     def test_standard_protocols_declarations(self):
         plain, arq = standard_protocols()

@@ -56,6 +56,35 @@ class TestEventQueue:
             q.push(-1.0, lambda: None)
         with pytest.raises(SchedulingError):
             q.push(float("nan"), lambda: None)
+        with pytest.raises(SchedulingError):
+            q.push(-float("inf"), lambda: None)
+        assert len(q) == 0
+
+    def test_equal_keys_fire_in_push_order_negative_priority_first(self):
+        q = EventQueue()
+        pushes = [("a", 0), ("b", -10), ("c", 0), ("d", -5), ("e", -10), ("f", 0)]
+        for label, priority in pushes:
+            q.push(1.0, lambda: None, priority=priority, label=label)
+        q.push(0.5, lambda: None, priority=3, label="early")
+        order = []
+        while (event := q.pop()) is not None:
+            order.append(event.label)
+        assert order == ["early", "b", "e", "d", "a", "c", "f"]
+
+    def test_cancelled_head_skipped_by_peek_and_pop(self):
+        q = EventQueue()
+        head = q.push(1.0, lambda: None, priority=-10)
+        q.push(1.0, lambda: None, label="next")
+        head.cancel()
+        assert q.peek_time() == 1.0
+        assert q.pop().label == "next"
+        assert q.peek_time() is None and q.pop() is None
+
+    def test_push_returns_the_event_it_fires(self):
+        q = EventQueue()
+        event = q.push(2.5, lambda: None, priority=-5, label="x")
+        assert (event.time, event.priority, event.label) == (2.5, -5, "x")
+        assert q.pop() is event
 
 
 class TestSimulator:
