@@ -7,27 +7,24 @@ workers, and measures two things:
 * **Correctness**: every fanned-out run's resilience matrix must be
   *byte-identical* to the serial one (cells and rendered table) — the
   engine's core guarantee, asserted unconditionally.
-* **Throughput**: the wall-clock speedup curve, written to
-  ``results/BENCH_parallel.json`` alongside per-cell timings and the
-  construction-cache hit rate.  The ≥ 2× speedup-at-4-workers shape is
-  asserted only on hardware with ≥ 4 cores; on smaller machines the
-  curve is still recorded (a process pool cannot beat the core count).
+* **Throughput**: the wall-clock speedup and parallel-efficiency
+  curve, written to ``results/f13_parallel.txt`` with the host's core
+  count and the construction-cache stats.  The ≥ 2×
+  speedup-at-4-workers shape is asserted only on hardware with ≥ 4
+  cores; on smaller machines the curve is still recorded (a process
+  pool cannot beat the core count).
 """
 
 from __future__ import annotations
 
 import os
-import pathlib
 
 from repro.exec import GRAPH_CACHE, TopologySpec, fork_available
-from repro.perf import emit_bench
 from repro.robustness import ChaosCampaign
 
 N, K = 256, 4
 SEEDS = (0, 1, 2, 3)
 WORKER_COUNTS = (1, 2, 4, 8)
-
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 def _campaign() -> ChaosCampaign:
@@ -66,46 +63,15 @@ def test_f13_parallel_engine(benchmark, report):
             {
                 "workers": workers,
                 "mode": run_report.mode,
-                "effective_workers": run_report.workers,
                 "wall_seconds": round(run_report.wall_seconds, 4),
                 "speedup": round(serial_wall / run_report.wall_seconds, 3)
                 if run_report.wall_seconds
                 else None,
-                "cells": run_report.cells,
-                "total_cell_seconds": round(
-                    run_report.total_cell_seconds(), 4
-                ),
                 "parallel_efficiency": round(
                     run_report.parallel_efficiency(), 3
                 ),
             }
         )
-
-    payload = {
-        "topology": {"n": N, "k": K},
-        "grid": {
-            "scenarios": 7,
-            "protocols": 2,
-            "seeds": len(SEEDS),
-            "cells": len(serial_matrix.cells),
-        },
-        "cpu_count": os.cpu_count(),
-        "fork_available": fork_available(),
-        "deterministic": True,
-        "graph_cache": GRAPH_CACHE.stats(),
-        "curve": curve,
-        "slowest_cells": [
-            {"label": t.label, "seconds": round(t.seconds, 4)}
-            for t in serial_report.slowest(5)
-        ],
-    }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    emit_bench(
-        RESULTS_DIR / "BENCH_parallel.json",
-        "f13_parallel",
-        {"serial_wall_seconds": [serial_wall]},
-        payload=payload,
-    )
 
     # throughput shape — only meaningful when the hardware can fan out
     if fork_available() and (os.cpu_count() or 1) >= 4:

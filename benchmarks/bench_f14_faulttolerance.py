@@ -10,7 +10,7 @@ fraction of attempts (0% / 10% / 20% / 40%), and measures two things:
   quarantined cells.  Asserted unconditionally.
 * **Cost**: the supervision overhead at zero fault rate (supervised vs
   bare pool) and the recovery wall-time curve as the injection rate
-  climbs, written to ``results/BENCH_faulttolerance.json`` together
+  climbs, written to ``results/f14_faulttolerance.txt`` together
   with retry/timeout/worker-death counters and a checkpoint-resume
   probe (journal half the grid, resume, compare).
 
@@ -22,9 +22,7 @@ the experiment.
 from __future__ import annotations
 
 import os
-import pathlib
 
-from repro.perf import emit_bench
 from repro.exec import (
     GRAPH_CACHE,
     CrashInjector,
@@ -40,8 +38,6 @@ FAULT_RATES = (0.0, 0.1, 0.2, 0.4)
 WORKERS = 4
 TIMEOUT = 4.0
 RETRIES = 12
-
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 def _campaign() -> ChaosCampaign:
@@ -100,7 +96,6 @@ def test_f14_fault_tolerance(benchmark, report, tmp_path):
                 "retries": run_report.retries,
                 "timeouts": run_report.timeouts,
                 "worker_deaths": run_report.worker_deaths,
-                "quarantined": len(run_report.failures),
             }
         )
 
@@ -113,30 +108,6 @@ def test_f14_fault_tolerance(benchmark, report, tmp_path):
     resumed = _campaign().run(checkpoint=journal, resume=True)
     assert resumed.render() == rendered
     resume_ok = journal.read_text().count("\n") == cells
-
-    payload = {
-        "topology": {"n": N, "k": K},
-        "grid": {"seeds": len(SEEDS), "cells": cells},
-        "cpu_count": os.cpu_count(),
-        "fork_available": fork_available(),
-        "workers": WORKERS,
-        "timeout_seconds": TIMEOUT,
-        "retries_budget": RETRIES,
-        "bare_wall_seconds": round(bare_wall, 4),
-        "deterministic_under_faults": True,
-        "checkpoint_resume_identical": resume_ok,
-        "curve": curve,
-    }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    emit_bench(
-        RESULTS_DIR / "BENCH_faulttolerance.json",
-        "f14_faulttolerance",
-        {
-            "bare_wall_seconds": [bare_wall],
-            "supervised_wall_seconds": [curve[0]["wall_seconds"]],
-        },
-        payload=payload,
-    )
 
     lines = [
         f"F14: fault-tolerant engine — LHG(n={N}, k={K}), {cells} cells, "

@@ -17,15 +17,12 @@ Measured and asserted:
 
 The collapsed-stack profile of the flooding hot path is committed as
 ``results/PROFILE_flood.collapsed`` (loads in speedscope or
-flamegraph.pl) and the top hot frames land in ``results/
-f18_profiler.txt``.  The overhead fraction is written to
-``results/BENCH_profiler.json`` — a unitless metric, so the perf
-ledger gates it on every host.
+flamegraph.pl); the top hot frames and the overhead fraction land in
+``results/f18_profiler.txt``.
 """
 
 from __future__ import annotations
 
-import os
 import pathlib
 import time
 
@@ -33,7 +30,6 @@ from repro import obs
 from repro.core.existence import build_lhg
 from repro.flooding.experiments import run_flood
 from repro.obs.prof import SamplingProfiler
-from repro.perf import emit_bench
 
 N, K = 1024, 4
 HZ = 100.0
@@ -90,32 +86,6 @@ def test_f18_profiler_overhead(benchmark, report):
     RESULTS_DIR.mkdir(exist_ok=True)
     stacks = profile.write_collapsed(RESULTS_DIR / "PROFILE_flood.collapsed")
     assert stacks > 0
-
-    emit_bench(
-        RESULTS_DIR / "BENCH_profiler.json",
-        "f18_profiler",
-        {
-            "plain_wall_seconds": plain_walls,
-            "profiled_wall_seconds": profiled_walls,
-            "overhead_fraction": [overhead],
-        },
-        payload={
-            "topology": {"n": N, "k": K},
-            "hz": HZ,
-            "backend": profile.backend,
-            "repeats": REPEATS,
-            "floods_per_arm": FLOODS_PER_ARM,
-            "cpu_count": os.cpu_count(),
-            "overhead_budget_fraction": OVERHEAD_BUDGET,
-            "samples": profile.sample_count,
-            "collapsed_stacks": stacks,
-            "top_frames": [
-                {"frame": frame, "self_samples": count}
-                for frame, count in top
-            ],
-        },
-        units={"overhead_fraction": "fraction"},
-    )
 
     lines = [
         f"F18: sampling profiler — LHG(n={N}, k={K}), {HZ:g} Hz "

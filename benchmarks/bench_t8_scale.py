@@ -15,19 +15,14 @@ Shape assertions: every certificate conclusive and holding; flood
 covers all 10⁶ nodes within the logarithmic diameter budget; peak RSS
 stays under 1 GB.  Stage seconds are the pipeline's own spans, read
 from an installed :class:`repro.obs.Collector`.  The scorecard lands in
-``results/BENCH_scale.json``.
+``results/t8_scale.txt``.
 """
 
 from __future__ import annotations
 
-import pathlib
-
 from repro import obs
 from repro.core.properties import logarithmic_diameter_bound
-from repro.perf import emit_bench
 from repro.robustness.scale import run_scale
-
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 N = 1_000_000
 K = 3
@@ -63,45 +58,11 @@ def test_t8_scale(benchmark, report):
     # benchmark the hot per-query path: one arithmetic neighbourhood
     benchmark(lambda: oracle.neighbors(N // 2))
 
-    payload = {
-        "topology": {"n": N, "k": K, "rule": oracle.rule},
-        "edges": oracle.number_of_edges(),
-        "height": oracle.height(),
-        "properties": run.report["properties"],
-        "flood": {
-            "source": 0,
-            "covered": flood.covered,
-            "messages": flood.messages,
-            "rounds": flood.rounds,
-            "diameter_budget": logarithmic_diameter_bound(N, K),
-        },
-        "csr_bytes": csr.nbytes(),
-        "peak_rss_bytes": peak_rss,
-        "rss_ceiling_bytes": RSS_CEILING_BYTES,
-        "seconds": {
-            "build": round(build_seconds, 4),
-            "certify": round(certify_seconds, 4),
-            "csr_compile": round(compile_seconds, 4),
-            "flood": round(flood_seconds, 4),
-        },
-    }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    emit_bench(
-        RESULTS_DIR / "BENCH_scale.json",
-        "t8_scale",
-        {
-            "build_seconds": [build_seconds],
-            "certify_seconds": [certify_seconds],
-            "csr_compile_seconds": [compile_seconds],
-            "flood_seconds": [flood_seconds],
-        },
-        payload=payload,
-    )
-
     lines = [
         f"T8: million-node scale — JD LHG(n={N}, k={K}), "
         f"{oracle.number_of_edges()} edges, height {oracle.height()}",
-        f"  certificates: {proofs.summary()}",
+        f"  build: {build_seconds * 1e6:.0f} µs; certificates "
+        f"({certify_seconds * 1e6:.0f} µs): {proofs.summary()}",
         f"  CSR: {csr.nbytes() / 1e6:.1f} MB "
         f"(compile {compile_seconds:.2f}s)",
         f"  flood: covered {flood.covered}/{N} in {flood.rounds} rounds "

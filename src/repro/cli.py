@@ -31,11 +31,6 @@ Subcommands:
   sampling profiler (``prof 1024 4 --hz 100 -o flood.collapsed``); the
   collapsed-stack output loads directly in speedscope/flamegraph.pl;
   exit 1 when no samples landed (run too short for the rate);
-* ``perf``     — benchmark regression ledger: ``perf record`` adopts
-  the BENCH_*.json results as the committed baseline, ``perf diff``
-  compares fresh results against it, ``perf check`` exits 1 when any
-  metric regressed beyond its noise-aware tolerance band (the CI
-  perf-gate);
 * ``lint``     — static determinism & fork-safety analysis
   (``lint src/repro --baseline lint-baseline.json``); exit code 0 when
   clean, 1 on findings, 2 on usage/internal errors.
@@ -407,47 +402,6 @@ def _cmd_prof(args: argparse.Namespace) -> int:
             "error: no samples landed — run longer (--repeat) or raise --hz",
             file=sys.stderr,
         )
-        return 1
-    return 0
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from repro.perf import (
-        DEFAULT_ABS_FLOOR,
-        DEFAULT_REL_FLOOR,
-        DEFAULT_SIGMAS,
-        build_ledger,
-        collect_results,
-        diff_results,
-        has_regression,
-        load_ledger,
-        render_deltas,
-        write_ledger,
-    )
-
-    if args.action == "record":
-        ledger = build_ledger(collect_results(args.results))
-        write_ledger(args.ledger, ledger)
-        metric_count = sum(len(m) for m in ledger["entries"].values())
-        print(
-            f"perf: recorded {len(ledger['entries'])} experiment(s), "
-            f"{metric_count} metric(s) to {args.ledger}"
-        )
-        return 0
-    deltas = diff_results(
-        collect_results(args.results),
-        load_ledger(args.ledger),
-        rel_floor=(
-            DEFAULT_REL_FLOOR if args.rel_floor is None else args.rel_floor
-        ),
-        abs_floor=(
-            DEFAULT_ABS_FLOOR if args.abs_floor is None else args.abs_floor
-        ),
-        sigmas=DEFAULT_SIGMAS if args.sigmas is None else args.sigmas,
-    )
-    print(render_deltas(deltas))
-    if args.action == "check" and has_regression(deltas):
-        print("perf: REGRESSION beyond tolerance band", file=sys.stderr)
         return 1
     return 0
 
@@ -942,59 +896,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write collapsed stacks to PATH (speedscope/flamegraph.pl)",
     )
     p_prof.set_defaults(func=_cmd_prof)
-
-    p_perf = sub.add_parser(
-        "perf",
-        help="benchmark ledger: record / diff / check regressions",
-        description=(
-            "Compare BENCH_*.json results (shared repro.perf schema) "
-            "against the committed baseline ledger. 'record' adopts the "
-            "current results as the baseline; 'diff' renders the "
-            "comparison; 'check' exits 1 when any metric regressed "
-            "beyond its noise-aware tolerance band. Wall-clock metrics "
-            "gate only when the host fingerprint matches the ledger's."
-        ),
-    )
-    p_perf.add_argument(
-        "action",
-        choices=["record", "diff", "check"],
-        help="record: write the baseline; diff: compare; check: gate",
-    )
-    p_perf.add_argument(
-        "--results",
-        default="benchmarks/results",
-        metavar="DIR",
-        help="directory of BENCH_*.json files (default: benchmarks/results)",
-    )
-    p_perf.add_argument(
-        "--ledger",
-        default="benchmarks/perf-baseline.json",
-        metavar="PATH",
-        help="baseline ledger path (default: benchmarks/perf-baseline.json)",
-    )
-    p_perf.add_argument(
-        "--rel-floor",
-        type=float,
-        default=None,
-        metavar="FRAC",
-        help="minimum relative band for wall-clock metrics "
-        "(default: 0.35)",
-    )
-    p_perf.add_argument(
-        "--abs-floor",
-        type=float,
-        default=None,
-        metavar="DELTA",
-        help="minimum absolute band for unitless metrics (default: 0.05)",
-    )
-    p_perf.add_argument(
-        "--sigmas",
-        type=float,
-        default=None,
-        metavar="N",
-        help="band width in combined measured dispersions (default: 3)",
-    )
-    p_perf.set_defaults(func=_cmd_perf)
 
     p_trace = sub.add_parser(
         "trace", help="inspect or convert a --telemetry JSONL log"

@@ -115,21 +115,17 @@ def _norm_path(path: str) -> str:
 # definition.  The sampling profiler (obs.prof) exists to sample the
 # wall/CPU clock — the clock is the instrument — and is provably
 # passive: it only ever *reads* collector state, so profiler-off runs
-# are byte-identical (pinned by tests/test_telemetry.py).  The perf
-# ledger schema (perf.schema) stamps benchmark results with a
-# wall-clock timestamp and host fingerprint as provenance metadata;
-# nothing simulated consumes them.  The soak service runs on virtual
-# ticks and reads the clock only for its ``max_wall`` safety valve,
-# which truncates the loop without changing any completed tick's
-# result.  Everything else — simulation, protocol, graph and analysis
-# code — must use the sim clock or an injected clock.
+# are byte-identical (pinned by tests/test_telemetry.py).  The soak
+# service runs on virtual ticks and reads the clock only for its
+# ``max_wall`` safety valve, which truncates the loop without changing
+# any completed tick's result.  Everything else — simulation, protocol,
+# graph and analysis code — must use the sim clock or an injected clock.
 DEFAULT_WALLCLOCK_ALLOWLIST: Tuple[str, ...] = (
     "repro.exec.pool",
     "repro.exec.profiling",
     "repro.exec.supervisor",
     "repro.obs.prof",
     "repro.obs.spans",
-    "repro.perf.schema",
     "repro.service.soak",
 )
 

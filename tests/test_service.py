@@ -379,6 +379,15 @@ PINNED_REPORTS = [
              seed=12),
         "41d42daf0f4970f6c4d83d632148cf0b3bca8764da154a4bc65a1c2087c066b4",
     ),
+    (
+        # benchmarks/bench_f16_soak.py's CONFIG: pins the F16 scorecard
+        # (latency p99 = 5 hops, amplification mean 2.2271) and every
+        # other field of that report
+        dict(population=20, k=3, duration=150, churn_rate=0.5,
+             flood_rate=2.0, verify_every=25, bursts=((40, 3), (90, 4)),
+             seed=16),
+        "abd0818eb365f81a9f6a5842d6d6a72490bef42c79c9566ca8e5a600420f349a",
+    ),
 ]
 
 
